@@ -12,8 +12,10 @@ machine-readable ``BENCH_<name>.json`` at the repository root, so CI
 and ad-hoc runs leave comparable artifacts without extra flags. With
 ``BENCH_HISTORY=PATH`` in the environment each rollup is additionally
 appended to that history journal (``repro.obs.benchwatch``), labeled
-by ``BENCH_LABEL`` when set — the hands-free way to grow the committed
-``BENCH_history.jsonl`` the regression sentinel gates on.
+by ``BENCH_LABEL`` — the hands-free way to grow the committed
+``BENCH_history.jsonl`` the regression sentinel gates on. The session
+refuses to start with ``BENCH_HISTORY`` but no ``BENCH_LABEL``: the
+journal takes only labeled records.
 """
 
 from __future__ import annotations
@@ -21,7 +23,19 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
+import pytest
+
 _REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def pytest_configure(config):
+    """Refuse ``BENCH_HISTORY`` without ``BENCH_LABEL`` before any
+    benchmark runs, rather than after all of them."""
+    if os.environ.get("BENCH_HISTORY") and not os.environ.get("BENCH_LABEL"):
+        raise pytest.UsageError(
+            "BENCH_HISTORY is set but BENCH_LABEL is not: every history "
+            "record needs a label (e.g. BENCH_LABEL=seed-engine-1)"
+        )
 
 
 def pytest_sessionfinish(session, exitstatus):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import abc
 from collections import deque
-from typing import Iterable
+from typing import Collection
 
 from repro.core.block import Block
 from repro.core.model import ModelParams, PagingModel
@@ -30,17 +30,17 @@ from repro.typing import BlockId, Vertex
 
 
 class Memory(abc.ABC):
-    """Common interface of both memory models."""
+    """Common interface of both memory models.
+
+    The base class tracks only occupancy. Each model keeps the one
+    per-vertex index its flushing discipline needs and answers the
+    coverage queries from it: :class:`WeakMemory` maps a vertex to its
+    resident holder blocks, :class:`StrongMemory` to its copy count.
+    """
 
     def __init__(self, params: ModelParams) -> None:
         self._params = params
-        # Resident-copy multiplicities. Plain dict, never Counter: the
-        # engine probes coverage every path step, and Counter's
-        # Python-level __missing__/__delitem__ hooks tax exactly that
-        # probe. Invariant: present keys always map to counts >= 1.
-        self._counts: dict[Vertex, int] = {}
         self._occupancy = 0
-        self._covered = 0
 
     @property
     def params(self) -> ModelParams:
@@ -55,24 +55,24 @@ class Memory(abc.ABC):
         """Resident vertex copies (never exceeds ``capacity``)."""
         return self._occupancy
 
+    @abc.abstractmethod
     def covers(self, vertex: Vertex) -> bool:
         """Whether at least one copy of ``vertex`` is resident."""
-        return vertex in self._counts
 
+    @abc.abstractmethod
     def copies_of(self, vertex: Vertex) -> int:
-        return self._counts.get(vertex, 0)
+        """Resident copies of ``vertex`` (0 when uncovered)."""
 
+    @abc.abstractmethod
     def covered_vertices(self) -> set[Vertex]:
         """The set of distinct vertices currently covered."""
-        return set(self._counts)
 
     @property
+    @abc.abstractmethod
     def covered_count(self) -> int:
-        """Number of distinct covered vertices, maintained
-        incrementally — O(1), unlike materializing
-        :meth:`covered_vertices` (which adversaries query every
-        move)."""
-        return self._covered
+        """Number of distinct covered vertices in O(1) — unlike
+        materializing :meth:`covered_vertices` (which adversaries query
+        every move), it reads the size of the model's vertex index."""
 
     def room_for(self, size: int) -> bool:
         return self._occupancy + size <= self.capacity
@@ -97,35 +97,14 @@ class Memory(abc.ABC):
             return True
         return False
 
-    def _add_copies(self, vertices: Iterable[Vertex]) -> None:
-        counts = self._counts
-        covered = self._covered
-        for v in vertices:
-            n = counts.get(v)
-            if n is None:
-                counts[v] = 1
-                covered += 1
-            else:
-                counts[v] = n + 1
-        self._covered = covered
-        self._occupancy += len(vertices)
-
-    def _remove_copies(self, vertices: Iterable[Vertex]) -> None:
-        counts = self._counts
-        covered = self._covered
-        for v in vertices:
-            n = counts[v]
-            if n == 1:
-                del counts[v]
-                covered -= 1
-            else:
-                counts[v] = n - 1
-        self._covered = covered
-        self._occupancy -= len(vertices)
-
 
 class WeakMemory(Memory):
-    """Block-granular memory (the paper's weak model)."""
+    """Block-granular memory (the paper's weak model).
+
+    One vertex index, ``vertex -> holder tuple``, answers every
+    coverage query: a vertex is covered while it has a key, its copies
+    are ``len(holders)``, and the covered count is the index's size.
+    """
 
     def __init__(self, params: ModelParams) -> None:
         super().__init__(params)
@@ -136,12 +115,27 @@ class WeakMemory(Memory):
         # no sort is ever needed to find an eviction victim.
         self._recency: dict[BlockId, int] = {}
         self._clock = 0
-        # vertex -> resident block ids containing it, for touch()/visit().
-        # Inner dicts (value None) double as insertion-ordered sets, so
-        # tick order over a vertex's holders is load order — stable
-        # across processes, unlike set iteration, whose hash order made
-        # multi-holder traces depend on PYTHONHASHSEED.
-        self._where: dict[Vertex, dict[BlockId, None]] = {}
+        # vertex -> ids of the resident blocks holding it, in load
+        # order, so tick order over a vertex's holders is load order —
+        # stable across processes, unlike set iteration, whose hash
+        # order made multi-holder traces depend on PYTHONHASHSEED.
+        # Present keys always hold at least one id. A block's unshared
+        # vertices all map to the one ``(block_id,)`` tuple its load
+        # built, so a load stores one reference per copy.
+        self._where: dict[Vertex, tuple[BlockId, ...]] = {}
+
+    def covers(self, vertex: Vertex) -> bool:
+        return vertex in self._where
+
+    def copies_of(self, vertex: Vertex) -> int:
+        return len(self._where.get(vertex, ()))
+
+    def covered_vertices(self) -> set[Vertex]:
+        return set(self._where)
+
+    @property
+    def covered_count(self) -> int:
+        return len(self._where)
 
     def resident_blocks(self) -> tuple[BlockId, ...]:
         return tuple(self._resident)
@@ -150,19 +144,25 @@ class WeakMemory(Memory):
         return block_id in self._resident
 
     def load(self, block: Block) -> None:
-        if block.block_id in self._resident:
-            self._tick(block.block_id)
+        block_id = block.block_id
+        if block_id in self._resident:
+            self._tick(block_id)
             return
-        if not self.room_for(len(block)):
+        vertices = block.vertices
+        if not self.room_for(len(vertices)):
             raise PagingError(
-                f"loading block {block.block_id!r} ({len(block)} copies) would "
+                f"loading block {block_id!r} ({len(vertices)} copies) would "
                 f"exceed M={self.capacity} (occupancy {self.occupancy})"
             )
-        self._resident[block.block_id] = block
-        self._add_copies(block.vertices)
-        for v in block.vertices:
-            self._where.setdefault(v, {})[block.block_id] = None
-        self._tick(block.block_id)
+        self._resident[block_id] = block
+        self._occupancy += len(vertices)
+        where = self._where
+        get = where.get
+        solo = (block_id,)
+        for v in vertices:
+            holders = get(v)
+            where[v] = solo if holders is None else holders + solo
+        self._tick(block_id)
 
     def evict_block(self, block_id: BlockId) -> None:
         """Flush one whole resident block (the weak model's only move)."""
@@ -170,25 +170,28 @@ class WeakMemory(Memory):
         if block is None:
             raise PagingError(f"block {block_id!r} is not resident")
         self._recency.pop(block_id, None)
-        self._remove_copies(block.vertices)
-        for v in block.vertices:
-            holders = self._where[v]
-            holders.pop(block_id, None)
-            if not holders:
-                del self._where[v]
+        vertices = block.vertices
+        self._occupancy -= len(vertices)
+        where = self._where
+        pop = where.pop
+        for v in vertices:
+            holders = pop(v)
+            if len(holders) > 1:
+                # Shared copy: the other holders stay, in load order.
+                where[v] = tuple([h for h in holders if h != block_id])
 
     def covering_blocks(self, vertex: Vertex) -> tuple[BlockId, ...]:
-        """Ids of the resident blocks holding a copy of ``vertex``.
+        """Ids of the resident blocks holding a copy of ``vertex``, in
+        load order (the index's own tuple; no copy is made).
 
         Empty when the vertex is uncovered. With a redundant blocking
         (``s > 1``) this is how many replicas of the vertex are
         currently in memory — the quantity the reliability layer's
         replica fallback ultimately feeds.
         """
-        return tuple(self._where.get(vertex, ()))
+        return self._where.get(vertex, ())
 
     def touch(self, vertex: Vertex) -> None:
-        # Hot path: iterate the index directly, no tuple allocation.
         for block_id in self._where.get(vertex, ()):
             self._tick(block_id)
 
@@ -197,7 +200,7 @@ class WeakMemory(Memory):
         # it yields are exactly the blocks to tick — the engine calls
         # this once per path step.
         holders = self._where.get(vertex)
-        if not holders:
+        if holders is None:
             return False
         clock = self._clock
         recency = self._recency
@@ -260,6 +263,24 @@ class StrongMemory(Memory):
     def __init__(self, params: ModelParams) -> None:
         super().__init__(params)
         self._copies: deque[tuple[BlockId, Vertex]] = deque()
+        # Resident-copy multiplicities. Plain dict, never Counter: the
+        # engine probes coverage every path step, and Counter's
+        # Python-level __missing__/__delitem__ hooks tax exactly that
+        # probe. Invariant: present keys always map to counts >= 1.
+        self._counts: dict[Vertex, int] = {}
+
+    def covers(self, vertex: Vertex) -> bool:
+        return vertex in self._counts
+
+    def copies_of(self, vertex: Vertex) -> int:
+        return self._counts.get(vertex, 0)
+
+    def covered_vertices(self) -> set[Vertex]:
+        return set(self._counts)
+
+    @property
+    def covered_count(self) -> int:
+        return len(self._counts)
 
     def load(self, block: Block) -> None:
         if not self.room_for(len(block)):
@@ -285,6 +306,22 @@ class StrongMemory(Memory):
         removed = [v for _, v in self._copies]
         self._copies.clear()
         self._remove_copies(removed)
+
+    def _add_copies(self, vertices: Collection[Vertex]) -> None:
+        counts = self._counts
+        for v in vertices:
+            counts[v] = counts.get(v, 0) + 1
+        self._occupancy += len(vertices)
+
+    def _remove_copies(self, vertices: Collection[Vertex]) -> None:
+        counts = self._counts
+        for v in vertices:
+            n = counts[v]
+            if n == 1:
+                del counts[v]
+            else:
+                counts[v] = n - 1
+        self._occupancy -= len(vertices)
 
     def touch(self, vertex: Vertex) -> None:
         # Copy-level recency is not tracked; eviction is arrival-ordered.

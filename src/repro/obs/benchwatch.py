@@ -162,6 +162,22 @@ def load_history(path: str | Path) -> list[dict[str, Any]]:
     return records
 
 
+def _check_appendable(
+    history: Sequence[Mapping[str, Any]], bench: str, label: str | None
+) -> None:
+    """Refuse a history append without a label, or whose ``(bench,
+    label)`` the journal already holds: an unlabeled or repeated record
+    would count as one more independent sample in every trailing
+    median after it."""
+    _require(bool(label), f"bench {bench!r}: refusing an unlabeled history append")
+    _require(
+        not any(
+            r.get("bench") == bench and r.get("label") == label for r in history
+        ),
+        f"bench {bench!r}: the history already holds label {label!r}",
+    )
+
+
 def append_run(
     history_path: str | Path,
     payload: Mapping[str, Any],
@@ -169,10 +185,12 @@ def append_run(
 ) -> dict[str, Any]:
     """Append one rollup's observations to the history journal
     (crash-atomically, preserving all prior records) and return the
-    appended record."""
+    appended record. Raises :class:`BenchWatchError` when ``label`` is
+    missing or already recorded for this bench."""
     from repro.cache import atomic_write_text
 
     records = load_history(history_path)
+    _check_appendable(records, str(payload["bench"]), label)
     record = history_record(payload, label=label)
     records.append(record)
     atomic_write_text(
@@ -388,7 +406,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--label",
         default=None,
         metavar="ID",
-        help="run identity recorded with the observations (e.g. a git SHA)",
+        help="run identity recorded with the observations (e.g. a git SHA); "
+        "required unless --no-append, and unique per bench in the history",
     )
     parser.add_argument(
         "--window",
@@ -436,9 +455,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
 
     history = load_history(args.history)
+    payloads = [load_rollup(path) for path in args.rollups]
+    if not args.no_append:
+        # Refuse before judging or writing anything, so a bad label
+        # never leaves a partly appended journal behind.
+        pending = list(history)
+        try:
+            for payload in payloads:
+                bench = str(payload["bench"])
+                _check_appendable(pending, bench, args.label)
+                pending.append({"bench": bench, "label": args.label})
+        except BenchWatchError as exc:
+            parser.error(f"{exc} (pass a new --label, or --no-append)")
     all_verdicts: list[Verdict] = []
-    for rollup_path in args.rollups:
-        payload = load_rollup(rollup_path)
+    for payload in payloads:
         verdicts = check_runs(
             history, payload, window=args.window, tolerance=args.tolerance
         )

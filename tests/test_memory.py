@@ -1,6 +1,10 @@
 """Weak and strong memory models (Section 2, item 5)."""
 
+from collections import deque
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro import ModelParams, PagingError, PagingModel, StrongMemory, WeakMemory
 from repro.core.block import make_block
@@ -175,3 +179,159 @@ class TestMakeMemory:
     def test_strong(self):
         params = ModelParams(2, 4, PagingModel.STRONG)
         assert isinstance(make_memory(params), StrongMemory)
+
+
+# -- model-based checks ------------------------------------------------------
+#
+# Random operation sequences over a small pool of overlapping blocks
+# (some vertex always lies in two or more of them, so s >= 2), checked
+# after every operation against a brute-force model. Each memory keeps
+# a single per-vertex index; these tests pin that index to what the
+# memory's block-level state says it must be.
+
+UNIVERSE = range(7)
+OUTSIDE = 99  # never in any block
+
+
+@st.composite
+def block_pools(draw):
+    """4-6 blocks of at most B=4 vertices over a 7-vertex universe,
+    at least one vertex held by two of them."""
+    sets = draw(
+        st.lists(
+            st.frozensets(st.sampled_from(UNIVERSE), min_size=1, max_size=4),
+            min_size=4,
+            max_size=6,
+        )
+    )
+    assume(any(sum(v in s for s in sets) >= 2 for v in UNIVERSE))
+    return [block(f"b{k}", vs) for k, vs in enumerate(sets)]
+
+
+def weak_ops(n_blocks):
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("load"), st.integers(0, n_blocks - 1)),
+            st.tuples(st.just("evict"), st.integers(0, n_blocks - 1)),
+            st.tuples(st.just("visit"), st.sampled_from([*UNIVERSE, OUTSIDE])),
+            st.tuples(st.just("touch"), st.sampled_from([*UNIVERSE, OUTSIDE])),
+        ),
+        max_size=40,
+    )
+
+
+def check_weak_against_model(mem: WeakMemory, lru: list) -> None:
+    # Holders of every vertex, rebuilt from the resident blocks alone;
+    # resident_blocks() lists them in load order.
+    holders: dict = {}
+    for bid in mem.resident_blocks():
+        for v in mem.resident_block(bid).vertices:
+            holders.setdefault(v, []).append(bid)
+    for v in [*UNIVERSE, OUTSIDE]:
+        expected = tuple(holders.get(v, ()))
+        assert mem.covers(v) == bool(expected)
+        assert mem.copies_of(v) == len(expected)
+        assert mem.covering_blocks(v) == expected
+    assert mem.covered_vertices() == set(holders)
+    assert mem.covered_count == len(mem.covered_vertices()) == len(holders)
+    assert mem.occupancy == sum(
+        len(mem.resident_block(bid)) for bid in mem.resident_blocks()
+    )
+    assert mem.lru_order() == lru
+    assert mem.lru_block() == (lru[0] if lru else None)
+
+
+class TestWeakMemoryModel:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), memory_size=st.integers(4, 12))
+    def test_index_matches_resident_blocks(self, data, memory_size):
+        pool = data.draw(block_pools())
+        ops = data.draw(weak_ops(len(pool)))
+        mem = WeakMemory(ModelParams(4, memory_size))
+        lru: list = []  # model recency: least recently used first
+
+        def use(bid):
+            if bid in lru:
+                lru.remove(bid)
+            lru.append(bid)
+
+        for op, arg in ops:
+            if op == "load":
+                blk = pool[arg]
+                if not mem.is_resident(blk.block_id):
+                    while not mem.room_for(len(blk)):
+                        victim = mem.lru_block()
+                        assert victim == lru.pop(0)
+                        mem.evict_block(victim)
+                        check_weak_against_model(mem, lru)
+                mem.load(blk)
+                use(blk.block_id)
+            elif op == "evict":
+                bid = pool[arg].block_id
+                if mem.is_resident(bid):
+                    mem.evict_block(bid)
+                    lru.remove(bid)
+                else:
+                    with pytest.raises(PagingError):
+                        mem.evict_block(bid)
+            else:
+                # visit and touch tick every holder, in load order.
+                ticked = [
+                    bid
+                    for bid in mem.resident_blocks()
+                    if arg in mem.resident_block(bid)
+                ]
+                if op == "visit":
+                    assert mem.visit(arg) == bool(ticked)
+                else:
+                    mem.touch(arg)
+                for bid in ticked:
+                    use(bid)
+            check_weak_against_model(mem, lru)
+
+
+class TestStrongMemoryModel:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), memory_size=st.integers(4, 12))
+    def test_counts_match_resident_copies(self, data, memory_size):
+        pool = data.draw(block_pools())
+        ops = data.draw(
+            st.lists(
+                st.one_of(
+                    st.tuples(st.just("load"), st.integers(0, len(pool) - 1)),
+                    st.tuples(st.just("evict_oldest"), st.integers(0, 12)),
+                    st.tuples(st.just("evict_all"), st.just(0)),
+                ),
+                max_size=40,
+            )
+        )
+        mem = StrongMemory(ModelParams(4, memory_size, PagingModel.STRONG))
+        copies: deque = deque()  # model: resident vertex copies, oldest first
+        for op, arg in ops:
+            if op == "load":
+                blk = pool[arg]
+                deficit = mem.occupancy + len(blk) - mem.capacity
+                if deficit > 0:
+                    mem.evict_oldest(deficit)
+                    for _ in range(deficit):
+                        copies.popleft()
+                mem.load(blk)
+                copies.extend(blk.vertices)
+            elif op == "evict_oldest":
+                if arg > len(copies):
+                    with pytest.raises(PagingError):
+                        mem.evict_oldest(arg)
+                else:
+                    mem.evict_oldest(arg)
+                    for _ in range(arg):
+                        copies.popleft()
+            else:
+                mem.evict_all()
+                copies.clear()
+            for v in [*UNIVERSE, OUTSIDE]:
+                n = sum(1 for c in copies if c == v)
+                assert mem.copies_of(v) == n
+                assert mem.covers(v) == mem.visit(v) == (n > 0)
+            assert mem.covered_vertices() == set(copies)
+            assert mem.covered_count == len(mem.covered_vertices())
+            assert mem.occupancy == len(copies)

@@ -339,7 +339,10 @@ class TestBenchwatch:
         assert v.allowed_s < 0.2  # tolerance + noise cap stays below 2x
         rollup_path = tmp_path / "BENCH_demo.json"
         rollup_path.write_text(json.dumps(_rollup(0.2)))
-        assert main([str(rollup_path), "--history", str(history)]) == 1
+        assert (
+            main([str(rollup_path), "--history", str(history), "--label", "slow"])
+            == 1
+        )
 
     def test_unmodified_run_passes_and_appends(self, tmp_path):
         from repro.obs.benchwatch import load_history, main
@@ -443,7 +446,15 @@ class TestBenchwatch:
         rollup_path.write_text(json.dumps(_rollup(0.1)))
         assert (
             main(
-                [str(rollup_path), "--history", str(history), "--prune", "4"]
+                [
+                    str(rollup_path),
+                    "--history",
+                    str(history),
+                    "--label",
+                    "sha",
+                    "--prune",
+                    "4",
+                ]
             )
             == 0
         )
@@ -459,6 +470,74 @@ class TestBenchwatch:
         rollup_path.write_text(json.dumps(_rollup(0.1)))
         with pytest.raises(SystemExit):
             main([str(rollup_path), "--tolerance", "0.9"])  # could hide 2x
+
+    def test_append_refuses_missing_or_duplicate_label(self, tmp_path):
+        from repro.obs.benchwatch import BenchWatchError, append_run, load_history
+
+        history = tmp_path / "h.jsonl"
+        for label in (None, ""):
+            with pytest.raises(BenchWatchError, match="unlabeled"):
+                append_run(history, _rollup(0.1), label=label)
+        assert not history.exists()
+        self._seed_history(history)
+        with pytest.raises(BenchWatchError, match="already holds"):
+            append_run(history, _rollup(0.1), label="seed-1")
+        assert len(load_history(history)) == 3
+        # Labels are unique per bench, not across benches.
+        append_run(history, _rollup(0.1, bench="other"), label="seed-1")
+        assert len(load_history(history)) == 4
+
+    def test_cli_refuses_unlabeled_or_duplicate_append(self, tmp_path, capsys):
+        from repro.obs.benchwatch import load_history, main
+
+        history = tmp_path / "h.jsonl"
+        self._seed_history(history)
+        before = history.read_bytes()
+        demo = tmp_path / "BENCH_demo.json"
+        demo.write_text(json.dumps(_rollup(0.1)))
+        other = tmp_path / "BENCH_other.json"
+        other.write_text(json.dumps(_rollup(0.1, bench="other")))
+        refused = (
+            [str(other), str(demo)],  # no label
+            [str(other), str(demo), "--label", "seed-2"],  # demo holds seed-2
+            [str(demo), str(demo), "--label", "fresh"],  # twice in one call
+        )
+        for args in refused:
+            with pytest.raises(SystemExit) as exc:
+                main([*args, "--history", str(history)])
+            assert exc.value.code == 2
+        # Refused before anything was written, not even the good rollup.
+        assert history.read_bytes() == before
+        assert "--label" in capsys.readouterr().err
+        # Judging alone needs no label.
+        assert main([str(demo), "--history", str(history), "--no-append"]) == 0
+        assert len(load_history(history)) == 3
+
+    def test_bench_session_refuses_history_without_label(self, monkeypatch):
+        import importlib.util
+
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "conftest.py"
+        spec = importlib.util.spec_from_file_location("_bench_conftest", path)
+        assert spec is not None and spec.loader is not None
+        conftest = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(conftest)
+        monkeypatch.setenv("BENCH_HISTORY", "h.jsonl")
+        monkeypatch.delenv("BENCH_LABEL", raising=False)
+        with pytest.raises(pytest.UsageError, match="BENCH_LABEL"):
+            conftest.pytest_configure(None)
+        monkeypatch.setenv("BENCH_LABEL", "seed-1")
+        conftest.pytest_configure(None)
+        monkeypatch.delenv("BENCH_HISTORY")
+        monkeypatch.delenv("BENCH_LABEL")
+        conftest.pytest_configure(None)
+
+    def test_committed_history_is_labeled_and_unique(self):
+        from repro.obs.benchwatch import load_history
+
+        path = Path(__file__).resolve().parents[1] / "BENCH_history.jsonl"
+        keys = [(r["bench"], r.get("label")) for r in load_history(path)]
+        assert keys and all(label for _, label in keys)
+        assert len(set(keys)) == len(keys)
 
 
 # -- the campaign ops report --------------------------------------------
