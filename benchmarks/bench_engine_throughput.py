@@ -14,6 +14,7 @@ from repro.blockings import (
     uniform_grid_blocking,
 )
 from repro.graphs import InfiniteGridGraph
+from repro.obs import Instrumentation, JsonlSink, replay_file, verify_run
 
 
 def test_throughput_s1_random_walk(benchmark):
@@ -28,6 +29,35 @@ def test_throughput_s1_random_walk(benchmark):
     adversary = RandomWalkAdversary(graph, (0, 0), seed=1)
     trace = benchmark(searcher.run_adversary, adversary, 5_000)
     assert trace.steps == 5_000
+
+
+def test_throughput_s1_random_walk_traced(benchmark, tmp_path):
+    """The same walk under a JSONL-writing hook: its time over the plain
+    walk's is the instrumented/uninstrumented ratio."""
+    graph = InfiniteGridGraph(2)
+    path = tmp_path / "walk.jsonl"
+    instrumentation = Instrumentation(sink=JsonlSink(path))
+    searcher = Searcher(
+        graph,
+        uniform_grid_blocking(2, 64),
+        FirstBlockPolicy(),
+        ModelParams(64, 256),
+        validate_moves=False,
+        instrumentation=instrumentation,
+    )
+    adversary = RandomWalkAdversary(graph, (0, 0), seed=1)
+
+    def traced_walk():
+        try:
+            return searcher.run_adversary(adversary, 5_000)
+        finally:
+            instrumentation.close()  # each round rewrites the trace
+
+    trace = benchmark(traced_walk)
+    assert trace.steps == 5_000
+    (run,) = replay_file(path)
+    assert verify_run(run) == []
+    assert run.trace.faults == trace.faults
 
 
 def test_throughput_s2_farthest_policy(benchmark):

@@ -37,7 +37,6 @@ from repro.errors import (
 )
 from repro.graphs.base import Graph
 from repro.obs.context import current_instrumentation
-from repro.obs.instrument import FaultCallback, LegacyOnFaultAdapter, compose
 from repro.paging.eviction import (
     EvictionPolicy,
     InstrumentedEviction,
@@ -122,17 +121,10 @@ class Searcher:
         params: ModelParams,
         eviction: EvictionPolicy | None = None,
         validate_moves: bool = True,
-        on_fault: FaultCallback | None = None,
         reliability: "ReliabilityConfig | None" = None,
         instrumentation: "InstrumentationHook | None" = None,
     ) -> None:
         """Args:
-        on_fault: legacy callback ``(vertex, block_id, trace)`` fired
-            after each fault is serviced. Kept working, but it is now a
-            thin adapter over ``instrumentation`` (it rides the
-            ``block_read`` event); new code should pass an
-            :class:`~repro.obs.instrument.InstrumentationHook` instead,
-            which also sees steps, retries, fallbacks, and evictions.
         reliability: optional unreliable-disk model
             (:class:`~repro.reliability.store.ReliabilityConfig`).
             When given, block fetches go through a
@@ -167,14 +159,9 @@ class Searcher:
         # distances, Belady taxonomy) know the replacement discipline.
         self.eviction_name = type(self.eviction).__name__
         self.validate_moves = validate_moves
-        self.on_fault = on_fault
         self.reliability = reliability
         if instrumentation is None:
             instrumentation = current_instrumentation()
-        if on_fault is not None:
-            instrumentation = compose(
-                instrumentation, LegacyOnFaultAdapter(on_fault)
-            )
         self._instr = instrumentation
         if instrumentation is not None:
             self.eviction = InstrumentedEviction(self.eviction, instrumentation)

@@ -54,14 +54,7 @@ from repro.obs.events import (
     WorkerDeathEvent,
     event_from_dict,
 )
-from repro.obs.instrument import (
-    CompositeHook,
-    FaultCallback,
-    Instrumentation,
-    InstrumentationHook,
-    LegacyOnFaultAdapter,
-    compose,
-)
+from repro.obs.instrument import Instrumentation, InstrumentationHook
 from repro.obs.forensics import (
     FORENSICS_SCHEMA,
     RunRecord,
@@ -124,12 +117,10 @@ __all__ = [
     "CellEndEvent",
     "CellRetryEvent",
     "CellStartEvent",
-    "CompositeHook",
     "CompositeSink",
     "Counter",
     "EvictionEvent",
     "FallbackEvent",
-    "FaultCallback",
     "FaultEvent",
     "Gauge",
     "Histogram",
@@ -137,7 +128,6 @@ __all__ = [
     "InstrumentationHook",
     "JsonlSink",
     "LabeledCounter",
-    "LegacyOnFaultAdapter",
     "MergeReport",
     "MetricsRegistry",
     "NullSink",
@@ -163,7 +153,6 @@ __all__ = [
     "analyze_trace",
     "bench_rollup",
     "block_ledger",
-    "compose",
     "current_instrumentation",
     "diff_runs",
     "diff_traces",

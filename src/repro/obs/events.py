@@ -20,20 +20,27 @@ runs in a merged campaign trace) and ``trace_footer`` (the closing
 completeness statement of any finished trace).
 
 Events are plain frozen dataclasses with a stable wire form
-(:meth:`TraceEvent.to_dict` / :func:`event_from_dict`): one JSON object
-per event, ``{"event": <kind>, "run": <id>, ...}``. Vertices and block
-ids are arbitrary hashables in memory; on the wire, tuples become JSON
-arrays (:func:`jsonable`) and are converted back on load
+(:meth:`TraceEvent.to_json` / :func:`event_from_dict`): one JSON object
+per event, ``{"event": <kind>, "run": <id>, ...}``, fields in
+declaration order. Each class's :class:`WirePlan`, derived once from its
+dataclass fields, drives both directions. Vertices and block ids are
+arbitrary hashables in memory; on the wire, tuples become JSON arrays
+and the plan's identifier fields are converted back on load
 (:func:`retuple`), so a JSONL trace round-trips exactly for the
 int/str/tuple identifiers every substrate in this repository uses.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, asdict, dataclass, fields
-from typing import Any, ClassVar, Mapping
+import json
+from dataclasses import MISSING, dataclass, fields
+from typing import Any, Callable, ClassVar, Mapping
 
 from repro.errors import ReproError
+
+#: The one wire encoder: compact separators, and the same ``str``
+#: fallback for exotic leaves that :func:`jsonable` applies.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), default=str)
 
 
 def jsonable(value: Any) -> Any:
@@ -59,6 +66,70 @@ def retuple(value: Any) -> Any:
     return value
 
 
+def _retuple_ids(value: Any) -> Any:
+    """:func:`retuple` for a field holding a tuple of identifiers."""
+    value = retuple(value)
+    return None if value is None else tuple(value)
+
+
+#: How each identifier field (vertices, block ids) is rebuilt on load.
+_IDENTIFIERS: dict[str, Callable[[Any], Any]] = {
+    "vertex": retuple,
+    "block_id": retuple,
+    "failed_block": retuple,
+    "block_ids": _retuple_ids,
+    "blocks": _retuple_ids,
+}
+
+
+class WirePlan:
+    """How one event class crosses the wire, built once from its
+    dataclass fields.
+
+    Encoding writes ``{"event": kind, <fields in declaration order>}``
+    with the module's one encoder. Tuples come out as JSON arrays; only
+    dict values pass through :func:`jsonable`, whose ``str(key)`` rule
+    differs from JSON's own for bool, None, and tuple keys. Each line is
+    therefore exactly the ``jsonable`` rendering of the event. Decoding
+    walks the same fields: identifier fields are retupled, absent
+    defaulted fields take their default, and extra keys are ignored.
+    """
+
+    __slots__ = ("cls", "kind", "names", "specs")
+
+    def __init__(self, cls: type[TraceEvent]) -> None:
+        self.cls = cls
+        self.kind = cls.kind
+        self.names = tuple(f.name for f in fields(cls))  # declaration order
+        #: ``(name, identifier converter or None, has a default)``.
+        self.specs = tuple(
+            (f.name, _IDENTIFIERS.get(f.name), f.default is not MISSING)
+            for f in fields(cls)
+        )
+
+    def encode(self, event: TraceEvent) -> str:
+        """The event's wire line (no trailing newline)."""
+        payload: dict[str, Any] = {"event": self.kind}
+        for name in self.names:
+            value = getattr(event, name)
+            payload[name] = jsonable(value) if isinstance(value, dict) else value
+        return _ENCODER.encode(payload)
+
+    def decode(self, payload: Mapping[str, Any]) -> TraceEvent:
+        """Rebuild an event of this class from its decoded wire object."""
+        kwargs: dict[str, Any] = {}
+        for name, convert, has_default in self.specs:
+            if name not in payload:
+                if has_default:
+                    continue  # older wire form: take the dataclass default
+                raise ReproError(
+                    f"{self.kind} event missing field {name!r}: {payload}"
+                )
+            value = payload[name]
+            kwargs[name] = value if convert is None else convert(value)
+        return self.cls(**kwargs)
+
+
 @dataclass(frozen=True)
 class TraceEvent:
     """Base of all trace events; ``run`` ties an event to its run."""
@@ -67,11 +138,15 @@ class TraceEvent:
 
     run: int
 
+    def to_json(self) -> str:
+        """The event's wire form: one compact JSON object, the line a
+        JSONL trace stores (without its newline)."""
+        return _plan(type(self)).encode(self)
+
     def to_dict(self) -> dict[str, Any]:
-        """The JSON-ready wire form of this event."""
-        payload: dict[str, Any] = {"event": self.kind}
-        payload.update(asdict(self))
-        result: dict[str, Any] = jsonable(payload)
+        """The JSON-ready wire form of this event (:meth:`to_json`,
+        decoded)."""
+        result: dict[str, Any] = json.loads(self.to_json())
         return result
 
 
@@ -410,6 +485,18 @@ EVENT_TYPES: dict[str, type[TraceEvent]] = {
 }
 
 
+#: The wire plan of every registered event class, built at import.
+_PLANS: dict[type[TraceEvent], WirePlan] = {
+    cls: WirePlan(cls) for cls in EVENT_TYPES.values()
+}
+
+
+def _plan(cls: type[TraceEvent]) -> WirePlan:
+    """The shared plan of a registered class; any other subclass gets a
+    fresh one."""
+    return _PLANS.get(cls) or WirePlan(cls)
+
+
 def event_from_dict(payload: Mapping[str, Any]) -> TraceEvent:
     """Rebuild an event from its wire form.
 
@@ -422,17 +509,4 @@ def event_from_dict(payload: Mapping[str, Any]) -> TraceEvent:
     cls = EVENT_TYPES.get(kind)
     if cls is None:
         raise ReproError(f"unknown trace event kind {kind!r}")
-    kwargs: dict[str, Any] = {}
-    for field_info in fields(cls):  # declaration order, not hash order
-        name = field_info.name
-        if name not in payload:
-            if field_info.default is not MISSING:
-                continue  # older wire form: take the dataclass default
-            raise ReproError(f"{kind} event missing field {name!r}: {payload}")
-        value = payload[name]
-        if name in ("vertex", "block_id", "failed_block", "block_ids", "blocks"):
-            value = retuple(value)
-            if name in ("block_ids", "blocks") and value is not None:
-                value = tuple(value)
-        kwargs[name] = value
-    return cls(**kwargs)
+    return _plan(cls).decode(payload)

@@ -53,6 +53,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.cache import atomic_write_text
+from repro.errors import ReproError
 from repro.obs.events import (
     BlockReadEvent,
     EvictionEvent,
@@ -730,7 +731,11 @@ def main(argv: Iterable[str] | None = None) -> int:
         help="ledger rows in the markdown churn table",
     )
     args = parser.parse_args(list(argv) if argv is not None else None)
-    doc = analyze_trace(args.trace)
+    try:
+        doc = analyze_trace(args.trace)
+    except ReproError as exc:  # an unreadable trace: one line, not a traceback
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
     if args.out:
         atomic_write_text(args.out, to_json(doc))
     if args.format == "json":

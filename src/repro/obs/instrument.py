@@ -10,14 +10,12 @@ is untouched and produces bit-identical traces.
 :class:`Instrumentation` is the standard concrete hook: it assigns run
 ids, forwards typed events to a :class:`~repro.obs.sinks.TraceSink`,
 and (optionally) folds them into a
-:class:`~repro.obs.metrics.MetricsRegistry`. Hooks compose with
-:class:`CompositeHook`; the legacy ``Searcher(on_fault=...)`` callback
-rides along as :class:`LegacyOnFaultAdapter`.
+:class:`~repro.obs.metrics.MetricsRegistry`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 from repro.obs.events import (
     BlockReadEvent,
@@ -36,9 +34,6 @@ if TYPE_CHECKING:  # imports would cycle through repro.core at runtime
     from repro.core.memory import Memory
     from repro.core.model import ModelParams
     from repro.core.stats import SearchTrace
-
-FaultCallback = Callable[[Any, Any, "SearchTrace"], None]
-"""The legacy ``on_fault`` shape: ``(vertex, block_id, trace)``."""
 
 
 class InstrumentationHook:
@@ -230,82 +225,3 @@ class Instrumentation(InstrumentationHook):
         )
         if self.metrics is not None and error is not None:
             self.metrics.counter("errored_runs").inc()
-
-
-class CompositeHook(InstrumentationHook):
-    """Forwards every event to each child hook, in order."""
-
-    def __init__(self, *hooks: InstrumentationHook) -> None:
-        self.hooks = list(hooks)
-
-    def run_start(
-        self,
-        driver: str,
-        params: "ModelParams",
-        read_cost: float | None = None,
-        eviction: str | None = None,
-    ) -> None:
-        for h in self.hooks:
-            h.run_start(driver, params, read_cost, eviction)
-
-    def step(self, vertex: Any, blocks: tuple[Any, ...] | None = None) -> None:
-        for h in self.hooks:
-            h.step(vertex, blocks)
-
-    def fault(self, vertex: Any, gap: int, index: int) -> None:
-        for h in self.hooks:
-            h.fault(vertex, gap, index)
-
-    def block_read(
-        self, block: Any, vertex: Any, memory: "Memory", trace: "SearchTrace"
-    ) -> None:
-        for h in self.hooks:
-            h.block_read(block, vertex, memory, trace)
-
-    def retry(
-        self, block_id: Any, attempt: int, outcome: str, delay: float | None
-    ) -> None:
-        for h in self.hooks:
-            h.retry(block_id, attempt, outcome, delay)
-
-    def fallback(self, vertex: Any, failed_block: Any, block_id: Any) -> None:
-        for h in self.hooks:
-            h.fallback(vertex, failed_block, block_id)
-
-    def eviction(
-        self, block_ids: tuple[Any, ...] | None, copies: int, occupancy: int
-    ) -> None:
-        for h in self.hooks:
-            h.eviction(block_ids, copies, occupancy)
-
-    def run_end(self, trace: "SearchTrace", error: str | None = None) -> None:
-        for h in self.hooks:
-            h.run_end(trace, error)
-
-
-class LegacyOnFaultAdapter(InstrumentationHook):
-    """Adapts the legacy ``on_fault`` callback onto the hook protocol.
-
-    The callback fires on ``block_read`` — after the fault is fully
-    serviced (block loaded, trace counters updated), exactly when the
-    old engine called it — with the original ``(vertex, block_id,
-    trace)`` signature.
-    """
-
-    def __init__(self, callback: FaultCallback) -> None:
-        self.callback = callback
-
-    def block_read(
-        self, block: Any, vertex: Any, memory: "Memory", trace: "SearchTrace"
-    ) -> None:
-        self.callback(vertex, block.block_id, trace)
-
-
-def compose(*hooks: InstrumentationHook | None) -> InstrumentationHook | None:
-    """Combine hooks, dropping Nones; a single hook passes through."""
-    present = [h for h in hooks if h is not None]
-    if not present:
-        return None
-    if len(present) == 1:
-        return present[0]
-    return CompositeHook(*present)

@@ -16,8 +16,9 @@ Command line::
     python -m repro.obs.replay trace.jsonl --timeline # ASCII fault timelines
     python -m repro.obs.replay a.jsonl --diff b.jsonl # compare two traces
 
-Exit status: nonzero when ``--check`` finds a reconstruction mismatch
-or ``--diff`` finds differing runs.
+Exit status: 1 when ``--check`` finds a reconstruction mismatch or
+``--diff`` finds differing runs; 2 when a trace cannot be read (the
+one-line error names the file and line) or ``--run`` names no run.
 """
 
 from __future__ import annotations
@@ -302,7 +303,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    runs = replay_file(args.trace)
+    try:
+        runs = replay_file(args.trace)
+        other = replay_file(args.diff) if args.diff else []
+    except ReproError as exc:  # an unreadable trace: one line, not a traceback
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
     if args.run is not None:
         runs = [r for r in runs if r.run == args.run]
         if not runs:
@@ -329,7 +335,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"\nall {len(runs)} run(s) reconstruct exactly")
 
     if args.diff:
-        other = replay_file(args.diff)
         if args.run is not None:
             other = [r for r in other if r.run == args.run]
         differences = diff_runs(runs, other)

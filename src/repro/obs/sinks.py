@@ -24,6 +24,7 @@ from collections import deque
 from pathlib import Path
 from typing import IO, Iterable
 
+from repro.errors import ReproError
 from repro.obs.events import TraceEvent, event_from_dict
 from repro.obs.metrics import MetricsRegistry
 
@@ -117,7 +118,7 @@ class JsonlSink(TraceSink):
         if self._stream is None:
             assert self.path is not None
             self._stream = self.path.open("w", encoding="utf-8")
-        self._stream.write(json.dumps(event.to_dict(), separators=(",", ":")))
+        self._stream.write(event.to_json())
         self._stream.write("\n")
         self.events_written += 1
 
@@ -145,9 +146,27 @@ class CompositeSink(TraceSink):
 
 
 def read_jsonl(path: str | Path) -> Iterable[TraceEvent]:
-    """Parse a JSONL trace file back into typed events, in file order."""
+    """Parse a JSONL trace file back into typed events, in file order.
+
+    A line that does not decode to an event (torn JSON, a non-object,
+    an unknown kind, a missing field) raises :class:`ReproError` naming
+    the file and its 1-based line number.
+    """
     with Path(path).open("r", encoding="utf-8") as stream:
-        for line in stream:
+        for number, line in enumerate(stream, 1):
             line = line.strip()
-            if line:
-                yield event_from_dict(json.loads(line))
+            if not line:
+                continue
+            try:
+                payload = json.loads(line)
+                if not isinstance(payload, dict):
+                    raise ReproError(f"not a JSON object: {line[:60]}")
+                event = event_from_dict(payload)
+            except json.JSONDecodeError as exc:
+                raise ReproError(
+                    f"{path}:{number}: undecodable JSON "
+                    f"({exc.msg} at column {exc.colno})"
+                ) from exc
+            except (ReproError, TypeError, ValueError) as exc:
+                raise ReproError(f"{path}:{number}: {exc}") from exc
+            yield event

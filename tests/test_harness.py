@@ -231,8 +231,14 @@ class TestOnFaultHook:
     def test_hook_fires_per_fault(self):
         from repro import ExplicitBlocking, FirstBlockPolicy, ModelParams, Searcher
         from repro.graphs import path_graph
+        from repro.obs import InstrumentationHook
 
         events = []
+
+        class FaultRecorder(InstrumentationHook):
+            def block_read(self, block, vertex, memory, trace):
+                events.append((vertex, block.block_id))
+
         blocking = ExplicitBlocking(
             5, {i: set(range(5 * i, 5 * i + 5)) for i in range(4)}
         )
@@ -241,7 +247,7 @@ class TestOnFaultHook:
             blocking,
             FirstBlockPolicy(),
             ModelParams(5, 10),
-            on_fault=lambda v, bid, trace: events.append((v, bid)),
+            instrumentation=FaultRecorder(),
         )
         trace = searcher.run_path(range(20))
         assert len(events) == trace.faults

@@ -8,8 +8,6 @@ The load-bearing invariants:
   reconstructs every ``SearchTrace`` counter exactly, ``io_time``
   included, and verifies it against the engine's own ``run_end``
   snapshot;
-* the legacy ``Searcher(on_fault=...)`` callback keeps working, now
-  routed through the hook layer;
 * ``Memory.covered_count`` (the O(1) working-set size the hooks
   sample) always agrees with ``len(covered_vertices())``.
 """
@@ -17,9 +15,13 @@ The load-bearing invariants:
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import FirstBlockPolicy, ModelParams, Searcher
 from repro.adversaries import RandomWalkAdversary
@@ -53,6 +55,7 @@ from repro.obs import (
     write_bench_json,
 )
 from repro.obs.events import (
+    EVENT_TYPES,
     BlockReadEvent,
     EvictionEvent,
     FallbackEvent,
@@ -62,7 +65,9 @@ from repro.obs.events import (
     RunStartEvent,
     StepEvent,
     event_from_dict,
+    jsonable,
 )
+from repro.obs.forensics import main as forensics_main
 from repro.obs.replay import main as replay_main
 from repro.reliability import (
     ExponentialBackoff,
@@ -158,6 +163,133 @@ class TestEvents:
         assert start.eviction is None and start.read_cost is None
         with pytest.raises(ReproError, match="missing field"):
             event_from_dict({"event": "step", "run": 0})  # no default
+
+
+# -- wire codec ---------------------------------------------------------
+
+
+def reference_line(event) -> str:
+    """The wire rule every JSONL line must match byte for byte: all
+    fields, in declaration order, through ``jsonable``, then compact
+    ``json.dumps``."""
+    payload = {"event": event.kind}
+    payload.update(
+        {f.name: getattr(event, f.name) for f in dataclasses.fields(event)}
+    )
+    return json.dumps(jsonable(payload), separators=(",", ":"))
+
+
+def sink_line(event) -> str:
+    """The one line :class:`JsonlSink` writes for ``event``."""
+    stream = io.StringIO()
+    JsonlSink(stream=stream).emit(event)
+    line, newline, rest = stream.getvalue().partition("\n")
+    assert newline and not rest
+    return line
+
+
+def event_strategy(identifiers, values, mapping):
+    """Events of every kind in ``EVENT_TYPES``: identifier fields drawn
+    from ``identifiers``, ``RunEndEvent.trace`` from ``mapping``, and
+    every other field from ``values``."""
+
+    def build(cls):
+        def field_values(name):
+            if name == "trace":
+                return mapping
+            if name in ("blocks", "block_ids"):
+                return st.none() | st.lists(identifiers, max_size=3).map(tuple)
+            if name in ("vertex", "block_id", "failed_block"):
+                return identifiers
+            return values
+
+        return st.fixed_dictionaries(
+            {f.name: field_values(f.name) for f in dataclasses.fields(cls)}
+        ).map(lambda kwargs: cls(**kwargs))
+
+    return st.sampled_from(sorted(EVENT_TYPES)).map(EVENT_TYPES.get).flatmap(build)
+
+
+class Opaque:
+    """A leaf JSON cannot encode: the wire falls back to ``str``."""
+
+    def __init__(self, tag: int) -> None:
+        self.tag = tag
+
+    def __str__(self) -> str:
+        return f"opaque<{self.tag}>"
+
+
+class TestWireCodec:
+    def test_sink_lines_match_the_jsonable_rule(self):
+        """Whatever an event holds (nested tuples, NaN, infinities,
+        bools, None, a leaf that falls back to ``str``, trace mappings
+        keyed by ints, bools, None or tuples), the sink writes exactly
+        the reference line."""
+        scalars = st.one_of(
+            st.integers(),
+            st.text(max_size=6),
+            st.booleans(),
+            st.none(),
+            st.floats(),
+            st.sampled_from([math.nan, math.inf, -math.inf]),
+            st.integers(0, 9).map(Opaque),
+        )
+        values = st.recursive(
+            scalars, lambda inner: st.lists(inner, max_size=3).map(tuple),
+            max_leaves=8,
+        )
+        keys = st.one_of(
+            st.integers(-3, 3),
+            st.booleans(),
+            st.none(),
+            st.tuples(st.integers(0, 3), st.integers(0, 3)),
+            st.text(max_size=3),
+        )
+        mapping = st.dictionaries(keys, values, max_size=5)
+
+        @given(event_strategy(values, values, mapping))
+        @settings(max_examples=300, deadline=None)
+        def check(event):
+            assert sink_line(event) == reference_line(event)
+
+        check()
+
+    def test_lines_round_trip_and_defaults_fill_in(self):
+        """With hashable int/str/tuple identifiers, decoding a sink line
+        rebuilds the event exactly; dropping any defaulted field from
+        the payload still parses, to that field's default."""
+        identifiers = st.recursive(
+            st.integers() | st.text(max_size=4),
+            lambda inner: st.lists(inner, max_size=3).map(tuple),
+            max_leaves=6,
+        )
+        values = st.one_of(
+            st.integers(),
+            st.text(max_size=6),
+            st.booleans(),
+            st.none(),
+            st.floats(allow_nan=False),
+        )
+        mapping = st.dictionaries(st.text(max_size=4), values, max_size=4)
+
+        @given(event_strategy(identifiers, values, mapping), st.data())
+        @settings(max_examples=300, deadline=None)
+        def check(event, data):
+            payload = json.loads(sink_line(event))
+            assert event_from_dict(payload) == event
+            defaulted = [
+                f for f in dataclasses.fields(event)
+                if f.default is not dataclasses.MISSING
+            ]
+            if defaulted:
+                dropped = data.draw(st.sampled_from(defaulted))
+                del payload[dropped.name]
+                assert event_from_dict(payload) == dataclasses.replace(
+                    event, **{dropped.name: dropped.default}
+                )
+
+        check()
 
 
 # -- sinks --------------------------------------------------------------
@@ -612,25 +744,6 @@ class TestInstrumentedSearch:
         assert "ERROR" in run.describe()
         assert verify_run(run) == []
 
-    def test_legacy_on_fault_still_fires(self):
-        events = []
-        trace = make_searcher(
-            on_fault=lambda v, bid, t: events.append((v, bid))
-        ).run_path(walk())
-        assert len(events) == trace.blocks_read
-        assert events[0][0] == (0,)
-
-    def test_legacy_on_fault_composes_with_instrumentation(self):
-        events = []
-        sink = RingBufferSink()
-        trace = make_searcher(
-            on_fault=lambda v, bid, t: events.append(v),
-            instrumentation=Instrumentation(sink=sink),
-        ).run_path(walk())
-        assert len(events) == trace.blocks_read
-        reads = [e for e in sink.events if isinstance(e, BlockReadEvent)]
-        assert len(reads) == trace.blocks_read
-
     def test_ambient_instrumentation_context(self):
         sink = RingBufferSink()
         with use_instrumentation(Instrumentation(sink=sink)):
@@ -707,6 +820,51 @@ class TestReplayTools:
             instr.close()
         assert replay_main([str(p1), "--diff", str(p2)]) == 1
         assert replay_main([str(p1), "--diff", str(p1)]) == 0
+
+
+class TestUndecodableTraces:
+    """A line that is not an event fails typed: ``read_jsonl`` raises
+    ``ReproError`` naming the file and the 1-based line, and both trace
+    CLIs print that one line to stderr and exit 2."""
+
+    def broken_trace(self, tmp_path, case):
+        path = tmp_path / "t.jsonl"
+        instr = Instrumentation(sink=JsonlSink(path))
+        make_searcher(instrumentation=instr).run_path(walk())
+        instr.close()
+        lines = path.read_text(encoding="utf-8").splitlines()
+        if case == "torn-last-line":
+            bad = len(lines)
+            lines[-1] = lines[-1][:21]  # cut mid-object
+        elif case == "garbage-middle-line":
+            bad = len(lines) // 2
+            lines[bad - 1] = "}not json{"
+        else:
+            bad = 3
+            lines[bad - 1] = '{"event":"nope","run":0}'
+        broken = tmp_path / "broken.jsonl"
+        broken.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return broken, bad
+
+    CASES = ("torn-last-line", "garbage-middle-line", "unknown-kind")
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_read_jsonl_names_file_and_line(self, tmp_path, case):
+        from repro.errors import ReproError
+
+        path, bad = self.broken_trace(tmp_path, case)
+        with pytest.raises(ReproError, match=rf"broken\.jsonl:{bad}: "):
+            list(read_jsonl(path))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_clis_exit_2_with_one_line(self, tmp_path, capsys, case):
+        path, bad = self.broken_trace(tmp_path, case)
+        for main in (replay_main, forensics_main):
+            assert main([str(path), "--check"]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.count("\n") == 1
+            assert f"{path}:{bad}: " in captured.err
+            assert "Traceback" not in captured.err
 
 
 # -- covered_count ------------------------------------------------------
