@@ -7,7 +7,7 @@ one-shot Table 1 games.
 """
 
 from repro import FirstBlockPolicy, ModelParams, Searcher
-from repro.adversaries import RandomWalkAdversary
+from repro.adversaries import RandomWalkAdversary, UniformCornerAdversary
 from repro.blockings import (
     FarthestFaultPolicy,
     offset_grid_blocking,
@@ -73,6 +73,25 @@ def test_throughput_s2_farthest_policy(benchmark):
     adversary = RandomWalkAdversary(graph, (0, 0), seed=1)
     trace = benchmark(searcher.run_adversary, adversary, 5_000)
     assert trace.steps == 5_000
+
+
+def test_throughput_large_block_faults(benchmark):
+    """The fault path the B=64 walks above barely use: the s=1 game of
+    the redundancy-gap cell (5-D grid, B=1024, M=3B, corner adversary),
+    which faults on most steps. One Searcher serves every round, so
+    tiles materialized in the first round are reused after it."""
+    graph = InfiniteGridGraph(5)
+    searcher = Searcher(
+        graph,
+        uniform_grid_blocking(5, 1024),
+        FirstBlockPolicy(),
+        ModelParams(1024, 3072),
+        validate_moves=False,
+    )
+    adversary = UniformCornerAdversary(side=4, dim=5)
+    trace = benchmark(searcher.run_adversary, adversary, 2_000)
+    assert trace.steps == 2_000
+    assert trace.faults == 1_836
 
 
 def test_throughput_move_validation_cost(benchmark):

@@ -106,12 +106,20 @@ class FarthestFaultPolicy(BlockChoicePolicy):
             raise PagingError(f"vertex {vertex!r} is not covered by the blocking")
         if len(candidates) == 1:
             return candidates[0]
-        survivors = self._surviving_coverage(memory, blocking.block_size)
+        # Materialize every candidate before any survivor set: building
+        # the two in turn fragments the heap and raises the peak RSS of
+        # the large-block cells.
+        sized = [(bid, blocking.block(bid).vertices) for bid in candidates]
+        # LRU makes room for the candidate itself, so what survives
+        # depends on its size, which may be less than B.
+        survivors: dict[int, set[Vertex]] = {}
         best_bid = None
         best_distance = -1
-        for bid in candidates:
-            block_vertices = blocking.block(bid).vertices
-            distance = self._fault_distance(vertex, block_vertices, survivors)
+        for bid, block_vertices in sized:
+            size = len(block_vertices)
+            if size not in survivors:
+                survivors[size] = self._surviving_coverage(memory, size)
+            distance = self._fault_distance(vertex, block_vertices, survivors[size])
             if distance > best_distance:
                 best_distance = distance
                 best_bid = bid
@@ -126,13 +134,17 @@ class FarthestFaultPolicy(BlockChoicePolicy):
         only on the retained (just-exited) block."""
         if not isinstance(memory, WeakMemory):
             return memory.covered_vertices()
+        # LRU flushes oldest first until the incoming block fits, so the
+        # survivors are the longest most-recent run that fits the budget:
+        # once a block does not fit, it and every older block go.
         budget = memory.capacity - incoming_size
         survivors: set[Vertex] = set()
         for bid in reversed(memory.lru_order()):
             block = memory.resident_block(bid)
-            if len(block) <= budget:
-                survivors.update(block.vertices)
-                budget -= len(block)
+            if len(block) > budget:
+                break
+            survivors.update(block.vertices)
+            budget -= len(block)
         return survivors
 
     def _fault_distance(self, vertex: Vertex, block_vertices, covered) -> int:

@@ -77,9 +77,9 @@ class MemoryView:
 
     @property
     def covered_count(self) -> int:
-        """Number of distinct covered vertices (O(1): the memory keeps
-        the count incrementally, so adversaries may poll it per move
-        without materializing the covered set)."""
+        """Number of distinct covered vertices. Up to O(M) in the weak
+        model (a union of the resident blocks), so poll it per fault
+        at most, not per move; per-move questions go to :meth:`covers`."""
         return self._memory.covered_count
 
     @property

@@ -32,10 +32,10 @@ from repro.typing import BlockId, Vertex
 class Memory(abc.ABC):
     """Common interface of both memory models.
 
-    The base class tracks only occupancy. Each model keeps the one
-    per-vertex index its flushing discipline needs and answers the
-    coverage queries from it: :class:`WeakMemory` maps a vertex to its
-    resident holder blocks, :class:`StrongMemory` to its copy count.
+    The base class tracks only occupancy; each model answers the
+    coverage queries from the state its flushing discipline keeps
+    anyway: :class:`WeakMemory` from its few resident blocks,
+    :class:`StrongMemory` from its per-vertex copy counts.
     """
 
     def __init__(self, params: ModelParams) -> None:
@@ -70,9 +70,9 @@ class Memory(abc.ABC):
     @property
     @abc.abstractmethod
     def covered_count(self) -> int:
-        """Number of distinct covered vertices in O(1) — unlike
-        materializing :meth:`covered_vertices` (which adversaries query
-        every move), it reads the size of the model's vertex index."""
+        """Number of distinct covered vertices. Up to O(M) (the weak
+        model takes the union of its resident blocks), so callers read
+        it once per fault, never per step."""
 
     def room_for(self, size: int) -> bool:
         return self._occupancy + size <= self.capacity
@@ -90,7 +90,7 @@ class Memory(abc.ABC):
         at ``vertex`` if it is covered, and report whether it was.
 
         The engine's per-step primitive — subclasses override it to
-        answer with a single index lookup instead of two.
+        answer in one pass instead of two.
         """
         if self.covers(vertex):
             self.touch(vertex)
@@ -101,13 +101,18 @@ class Memory(abc.ABC):
 class WeakMemory(Memory):
     """Block-granular memory (the paper's weak model).
 
-    One vertex index, ``vertex -> holder tuple``, answers every
-    coverage query: a vertex is covered while it has a key, its copies
-    are ``len(holders)``, and the covered count is the index's size.
+    No vertex index: the resident blocks answer every coverage query,
+    each probed at most once, in load order. There are at most M over
+    the smallest of them: M/B with full blocks, and at most 3 in every
+    Table 1 cell. A load or flush is O(1) per block, never per copy —
+    the model charges one I/O per block, and so does the bookkeeping.
     """
 
     def __init__(self, params: ModelParams) -> None:
         super().__init__(params)
+        # Resident blocks in load order, which is the order a vertex's
+        # holders are probed, ticked and reported in — stable across
+        # processes, unlike set iteration order, which nothing reads.
         self._resident: dict[BlockId, Block] = {}
         # LRU clock: _recency[bid] is the tick of the block's last use.
         # The dict is additionally kept in *use order* (every tick
@@ -115,27 +120,22 @@ class WeakMemory(Memory):
         # no sort is ever needed to find an eviction victim.
         self._recency: dict[BlockId, int] = {}
         self._clock = 0
-        # vertex -> ids of the resident blocks holding it, in load
-        # order, so tick order over a vertex's holders is load order —
-        # stable across processes, unlike set iteration, whose hash
-        # order made multi-holder traces depend on PYTHONHASHSEED.
-        # Present keys always hold at least one id. A block's unshared
-        # vertices all map to the one ``(block_id,)`` tuple its load
-        # built, so a load stores one reference per copy.
-        self._where: dict[Vertex, tuple[BlockId, ...]] = {}
 
     def covers(self, vertex: Vertex) -> bool:
-        return vertex in self._where
+        for block in self._resident.values():
+            if vertex in block.vertices:
+                return True
+        return False
 
     def copies_of(self, vertex: Vertex) -> int:
-        return len(self._where.get(vertex, ()))
+        return len(self.covering_blocks(vertex))
 
     def covered_vertices(self) -> set[Vertex]:
-        return set(self._where)
+        return set().union(*[block.vertices for block in self._resident.values()])
 
     @property
     def covered_count(self) -> int:
-        return len(self._where)
+        return len(self.covered_vertices())
 
     def resident_blocks(self) -> tuple[BlockId, ...]:
         return tuple(self._resident)
@@ -148,20 +148,14 @@ class WeakMemory(Memory):
         if block_id in self._resident:
             self._tick(block_id)
             return
-        vertices = block.vertices
-        if not self.room_for(len(vertices)):
+        size = len(block.vertices)
+        if not self.room_for(size):
             raise PagingError(
-                f"loading block {block_id!r} ({len(vertices)} copies) would "
+                f"loading block {block_id!r} ({size} copies) would "
                 f"exceed M={self.capacity} (occupancy {self.occupancy})"
             )
         self._resident[block_id] = block
-        self._occupancy += len(vertices)
-        where = self._where
-        get = where.get
-        solo = (block_id,)
-        for v in vertices:
-            holders = get(v)
-            where[v] = solo if holders is None else holders + solo
+        self._occupancy += size
         self._tick(block_id)
 
     def evict_block(self, block_id: BlockId) -> None:
@@ -169,48 +163,39 @@ class WeakMemory(Memory):
         block = self._resident.pop(block_id, None)
         if block is None:
             raise PagingError(f"block {block_id!r} is not resident")
-        self._recency.pop(block_id, None)
-        vertices = block.vertices
-        self._occupancy -= len(vertices)
-        where = self._where
-        pop = where.pop
-        for v in vertices:
-            holders = pop(v)
-            if len(holders) > 1:
-                # Shared copy: the other holders stay, in load order.
-                where[v] = tuple([h for h in holders if h != block_id])
+        del self._recency[block_id]
+        self._occupancy -= len(block.vertices)
 
     def covering_blocks(self, vertex: Vertex) -> tuple[BlockId, ...]:
         """Ids of the resident blocks holding a copy of ``vertex``, in
-        load order (the index's own tuple; no copy is made).
+        load order (a fresh tuple per call).
 
         Empty when the vertex is uncovered. With a redundant blocking
         (``s > 1``) this is how many replicas of the vertex are
         currently in memory — the quantity the reliability layer's
         replica fallback ultimately feeds.
         """
-        return self._where.get(vertex, ())
+        return tuple(
+            [bid for bid, block in self._resident.items() if vertex in block.vertices]
+        )
 
     def touch(self, vertex: Vertex) -> None:
-        for block_id in self._where.get(vertex, ()):
+        for block_id in self.covering_blocks(vertex):
             self._tick(block_id)
 
     def visit(self, vertex: Vertex) -> bool:
-        # Hot path: one index lookup answers coverage, and the holders
-        # it yields are exactly the blocks to tick — the engine calls
-        # this once per path step.
-        holders = self._where.get(vertex)
-        if holders is None:
-            return False
-        clock = self._clock
+        # Hot path: one probe per resident block answers coverage and
+        # finds exactly the blocks to tick — the engine calls this once
+        # per path step.
+        clock = start = self._clock
         recency = self._recency
-        pop = recency.pop
-        for block_id in holders:
-            clock += 1
-            pop(block_id, None)
-            recency[block_id] = clock
+        for block_id, block in self._resident.items():
+            if vertex in block.vertices:
+                clock += 1
+                del recency[block_id]
+                recency[block_id] = clock
         self._clock = clock
-        return True
+        return clock != start
 
     def lru_order(self) -> list[BlockId]:
         """Resident block ids, least recently used first.

@@ -154,6 +154,7 @@ class Instrumentation(InstrumentationHook):
     def block_read(
         self, block: Any, vertex: Any, memory: "Memory", trace: "SearchTrace"
     ) -> None:
+        covered = memory.covered_count  # up to O(M): read it once
         self.sink.emit(
             BlockReadEvent(
                 run=self._run,
@@ -161,14 +162,14 @@ class Instrumentation(InstrumentationHook):
                 vertex=vertex,
                 size=len(block),
                 occupancy=memory.occupancy,
-                covered=memory.covered_count,
+                covered=covered,
             )
         )
         if self.metrics is not None:
             self.metrics.counter("block_reads").inc()
             self.metrics.labeled_counter("reads_per_block").inc(block.block_id)
-            self.metrics.histogram("working_set").observe(memory.covered_count)
-            self.metrics.gauge("working_set_size").set(memory.covered_count)
+            self.metrics.histogram("working_set").observe(covered)
+            self.metrics.gauge("working_set_size").set(covered)
             self.metrics.gauge("occupancy").set(memory.occupancy)
 
     def retry(

@@ -1,6 +1,8 @@
 """Construction-specific block-choice policies."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     ExplicitBlocking,
@@ -20,8 +22,10 @@ from repro.blockings import (
     offset_grid_blocking,
     overlapped_tree_blocking,
 )
+from repro.core.block import make_block
 from repro.core.memory import WeakMemory
 from repro.graphs import CompleteTree, InfiniteGridGraph, path_graph
+from repro.paging import LruEviction
 
 
 class TestMostInterior:
@@ -147,6 +151,79 @@ class TestFarthestFault:
         memory = WeakMemory(ModelParams(5, 10))
         with pytest.raises(PagingError):
             FarthestFaultPolicy(graph).choose(7, blocking, memory)
+
+
+class TestSurvivingCoverage:
+    """``FarthestFaultPolicy`` ranks candidates against the coverage LRU
+    will leave once it has made room; the prediction must be exactly
+    what ``LruEviction`` leaves, whatever the block sizes."""
+
+    def test_stops_at_the_first_block_that_does_not_fit(self):
+        # Load order A, C, D; room for 4 more flushes A, then C — A is
+        # older than C, so it cannot survive C's flush.
+        loaded = [
+            make_block("A", {1, 2}, 5),
+            make_block("C", {10, 11, 12, 13, 14}, 5),
+            make_block("D", {20, 21}, 5),
+        ]
+        memory = WeakMemory(ModelParams(5, 10))
+        for blk in loaded:
+            memory.load(blk)
+        predicted = FarthestFaultPolicy._surviving_coverage(memory, 4)
+        LruEviction().make_room(memory, make_block("in", range(30, 34), 5))
+        assert predicted == memory.covered_vertices() == {20, 21}
+
+    def test_choose_predicts_survivors_for_each_candidate_size(self):
+        # Fault at 10 with O, then P resident, M = 8. Reading the
+        # one-vertex X keeps O, so 10 is 4 steps from the nearest fault;
+        # reading the full Y flushes O, and 11 faults at once. Survivors
+        # predicted for a block of size B drop O for X too, tying the
+        # two at 1, and the tie goes to the first candidate, Y.
+        graph = path_graph(30)
+        blocking = ExplicitBlocking(
+            4, {"Y": {1, 2, 3, 10}, "X": {10}, "O": {11, 12, 13}, "P": {6, 7, 8, 9}}
+        )
+        memory = WeakMemory(ModelParams(4, 8))
+        memory.load(blocking.block("O"))
+        memory.load(blocking.block("P"))
+        assert FarthestFaultPolicy(graph).choose(10, blocking, memory) == "X"
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), memory_size=st.integers(5, 15))
+    def test_matches_lru_over_mixed_block_sizes(self, data, memory_size):
+        sizes = data.draw(st.lists(st.integers(1, 5), min_size=2, max_size=6))
+        # Block k starts at 3k, so blocks longer than 3 share vertices.
+        pool = [
+            make_block(k, range(3 * k, 3 * k + size), 5)
+            for k, size in enumerate(sizes)
+        ]
+        ops = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(["load", "visit"]),
+                    st.integers(0, len(pool) - 1),
+                ),
+                max_size=20,
+            )
+        )
+        incoming_size = data.draw(st.integers(1, 5))
+        incoming = make_block("in", range(100, 100 + incoming_size), 5)
+        predicted_memory, lru_memory = (
+            WeakMemory(ModelParams(5, memory_size)) for _ in range(2)
+        )
+        for memory in (predicted_memory, lru_memory):
+            for op, k in ops:
+                blk = pool[k]
+                if op == "visit":
+                    memory.visit(3 * k)
+                elif not memory.is_resident(blk.block_id):
+                    LruEviction().make_room(memory, blk)
+                    memory.load(blk)
+        predicted = FarthestFaultPolicy._surviving_coverage(
+            predicted_memory, incoming_size
+        )
+        LruEviction().make_room(lru_memory, incoming)
+        assert predicted == lru_memory.covered_vertices()
 
 
 class TestNearestCenter:

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import ModelParams, PagingError, PagingModel, StrongMemory, WeakMemory
-from repro.core.block import make_block
+from repro.core.block import Block, make_block
 from repro.core.memory import make_memory
 
 
@@ -117,6 +117,66 @@ class TestWeakMemory:
         assert mem.lru_block() == "b"
 
 
+class CountingSet(frozenset):
+    """A block's vertex set that counts how often memory iterates it
+    and how often it is asked whether it holds a vertex."""
+
+    def __init__(self, vertices):
+        self.iterations = 0
+        self.probes = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+    def __contains__(self, vertex):
+        self.probes += 1
+        return super().__contains__(vertex)
+
+
+class TestWeakMemoryCost:
+    """Clock-free complexity pin. A load or flush does O(1) work per
+    block and never walks its vertices; a coverage query costs at most
+    one probe per resident block. Blocks are built directly, because
+    ``make_block`` would copy the counting set into a plain one."""
+
+    def loaded(self):
+        blocks = [
+            Block(bid, CountingSet(vs))
+            for bid, vs in (("a", {1, 2}), ("b", {2, 3}), ("c", {4}))
+        ]
+        mem = WeakMemory(ModelParams(4, 12))
+        for blk in blocks:
+            mem.load(blk)
+        return mem, [blk.vertices for blk in blocks]
+
+    def test_load_and_evict_never_iterate_vertices(self):
+        a = Block("a", CountingSet({1, 2, 3}))
+        b = Block("b", CountingSet({3, 4}))
+        mem = WeakMemory(ModelParams(4, 8))
+        mem.load(a)
+        mem.load(b)
+        mem.evict_block("a")
+        assert mem.occupancy == 2 and mem.covers(3) and not mem.covers(1)
+        assert a.vertices.iterations + b.vertices.iterations == 0
+
+    @pytest.mark.parametrize("vertex", [1, 2, 4, 42])
+    def test_visit_and_touch_probe_each_resident_block_once(self, vertex):
+        mem, sets = self.loaded()
+        mem.visit(vertex)
+        assert [vs.probes for vs in sets] == [1, 1, 1]
+        mem.touch(vertex)
+        assert [vs.probes for vs in sets] == [2, 2, 2]
+        assert sum(vs.iterations for vs in sets) == 0
+
+    @pytest.mark.parametrize("vertex", [1, 2, 4, 42])
+    def test_covers_probes_each_resident_block_at_most_once(self, vertex):
+        mem, sets = self.loaded()
+        assert mem.covers(vertex) == (vertex != 42)
+        assert all(vs.probes <= 1 for vs in sets)
+        assert sum(vs.iterations for vs in sets) == 0
+
+
 class TestStrongMemory:
     def make(self, B=4, M=8) -> StrongMemory:
         return StrongMemory(ModelParams(B, M, PagingModel.STRONG))
@@ -185,9 +245,10 @@ class TestMakeMemory:
 #
 # Random operation sequences over a small pool of overlapping blocks
 # (some vertex always lies in two or more of them, so s >= 2), checked
-# after every operation against a brute-force model. Each memory keeps
-# a single per-vertex index; these tests pin that index to what the
-# memory's block-level state says it must be.
+# after every operation against a brute-force model. WeakMemory answers
+# from its resident blocks and StrongMemory from per-vertex copy counts;
+# these tests pin every answer to what the block-level state says it
+# must be.
 
 UNIVERSE = range(7)
 OUTSIDE = 99  # never in any block

@@ -8,8 +8,8 @@ The load-bearing invariants:
   reconstructs every ``SearchTrace`` counter exactly, ``io_time``
   included, and verifies it against the engine's own ``run_end``
   snapshot;
-* ``Memory.covered_count`` (the O(1) working-set size the hooks
-  sample) always agrees with ``len(covered_vertices())``.
+* ``Memory.covered_count`` (the working-set size the hooks sample
+  once per fault) always agrees with ``len(covered_vertices())``.
 """
 
 from __future__ import annotations
