@@ -7,7 +7,11 @@ one-shot Table 1 games.
 """
 
 from repro import FirstBlockPolicy, ModelParams, Searcher
-from repro.adversaries import RandomWalkAdversary, UniformCornerAdversary
+from repro.adversaries import (
+    GridCorridorAdversary,
+    RandomWalkAdversary,
+    UniformCornerAdversary,
+)
 from repro.blockings import (
     FarthestFaultPolicy,
     offset_grid_blocking,
@@ -92,6 +96,28 @@ def test_throughput_large_block_faults(benchmark):
     trace = benchmark(searcher.run_adversary, adversary, 2_000)
     assert trace.steps == 2_000
     assert trace.faults == 1_836
+
+
+def test_throughput_s2_corridor_5d(benchmark):
+    """The s=2 game of the redundancy-gap cell (5-D grid, B=1024,
+    M=2B, corridor adversary): a candidate-ranking BFS per fault and a
+    corridor scan per fault. Each round builds a fresh blocking, as
+    each sweep pass does, so every round pays for the tiles it builds."""
+    graph = InfiniteGridGraph(5)
+
+    def game():
+        searcher = Searcher(
+            graph,
+            offset_grid_blocking(5, 1024),
+            FarthestFaultPolicy(graph),
+            ModelParams(1024, 2048),
+            validate_moves=False,
+        )
+        return searcher.run_adversary(GridCorridorAdversary(5, 1024, 2048), 2_000)
+
+    trace = benchmark(game)
+    assert trace.steps == 2_000
+    assert trace.faults == 502
 
 
 def test_throughput_move_validation_cost(benchmark):

@@ -72,21 +72,34 @@ class _CorridorBase(Adversary):
 
     def _find_target(self, pathfront: Coord, view: MemoryView) -> Coord:
         """The uncovered corridor cell with the smallest first
-        coordinate >= the pathfront's (ties: nearest cross-section
-        position). The proofs' "increase t_1 the minimum amount"."""
+        coordinate >= the pathfront's (the proofs' "increase t_1 the
+        minimum amount"). Within that column the tie-break is exact:
+        the first cell, in the cross-section's product order, of
+        minimum L1 distance from the pathfront's cross coordinates —
+        so the pathfront's own cross cell whenever it lies in the
+        corridor and is uncovered.
+
+        The cross-section is ordered by that rule once per call, and
+        each column costs one ``view.uncovered_among`` call; its set is
+        only probed, in that order, never iterated."""
+        ranges = self._cross_ranges()
+        # Each cross position's L1 distance is the sum of its per-axis
+        # distances, taken over the same product as the positions; the
+        # stable sort keeps product order among equal distances.
+        axis_distances = [
+            [abs(c - p) for c in axis] for axis, p in zip(ranges, pathfront[1:])
+        ]
+        distances = list(map(sum, itertools.product(*axis_distances)))
+        crosses = list(itertools.product(*ranges))
+        nearest_first = [
+            crosses[i] for i in sorted(range(len(crosses)), key=distances.__getitem__)
+        ]
         x0 = pathfront[0]
         for x in range(x0, x0 + self._horizon):
-            best: Coord | None = None
-            best_key: tuple[int, ...] | None = None
-            for cross in itertools.product(*self._cross_ranges()):
-                cell = (x,) + cross
-                if not view.covers(cell):
-                    key = tuple(abs(c - p) for c, p in zip(cross, pathfront[1:]))
-                    if best_key is None or sum(key) < sum(best_key):
-                        best = cell
-                        best_key = key
-            if best is not None:
-                return best
+            column = list(map((x,).__add__, nearest_first))
+            uncovered = view.uncovered_among(column)
+            if uncovered:
+                return next(filter(uncovered.__contains__, column))
         raise AdversaryError(
             f"no uncovered corridor cell within {self._horizon} columns — "
             "is memory larger than the whole corridor window?"

@@ -66,11 +66,15 @@ class Tessellation(abc.ABC):
         ranges = [range(o, o + self._side) for o in origin]
         return itertools.product(*ranges)
 
-    def boundary_distance(self, coord: Coord) -> int:
+    def boundary_distance(self, coord: Coord, tile_id: tuple | None = None) -> int:
         """Graph (L1 or Chebyshev — they agree on axis-aligned faces)
-        distance from ``coord`` to the nearest cell *outside* its tile:
-        ``min_i min(x_i - lo_i, hi_i - 1 - x_i) + 1``."""
-        origin = self.tile_origin(self.tile_of(coord))
+        distance from ``coord`` to the nearest cell *outside* the tile
+        ``tile_id`` (default: the tile holding ``coord``):
+        ``min_i min(x_i - lo_i, hi_i - 1 - x_i) + 1``. At most 0 when
+        the tile does not hold ``coord``."""
+        if tile_id is None:
+            tile_id = self.tile_of(coord)
+        origin = self.tile_origin(tile_id)
         slack = min(
             min(x - o, o + self._side - 1 - x) for x, o in zip(coord, origin)
         )

@@ -29,7 +29,7 @@ from repro.analysis.tessellation import (
     UniformTessellation,
     sheared_side,
 )
-from repro.core.blocking import ImplicitBlocking
+from repro.core.blocking import ImplicitBlocking, Members
 from repro.blockings.union import UnionBlocking
 from repro.errors import BlockingError
 from repro.typing import BlockId, Coord, Vertex
@@ -61,10 +61,39 @@ class TessellationBlocking(ImplicitBlocking):
     def _materialize(self, block_id: BlockId) -> frozenset[Coord]:
         return frozenset(self._tess.cells(block_id))
 
+    def members(self, block_id: BlockId) -> Members:
+        """The built tile's frozenset, or, for a tile not built yet,
+        a :class:`_TileMembers` that answers without building it."""
+        built = self._cache.get(block_id)
+        if built is not None:
+            return built.vertices
+        return _TileMembers(self._tess, block_id)
+
     def interior_distance(self, block_id: BlockId, vertex: Vertex) -> float:
-        """Steps needed to leave the tile from ``vertex`` (both L1 and
-        Chebyshev metrics agree on axis-aligned boxes)."""
-        return float(self._tess.boundary_distance(vertex))
+        """Steps needed to leave tile ``block_id`` from ``vertex`` (both
+        L1 and Chebyshev metrics agree on axis-aligned boxes); at most
+        0 when the tile does not hold ``vertex``."""
+        return float(self._tess.boundary_distance(vertex, block_id))
+
+
+class _TileMembers:
+    """An unbuilt tile's vertices as :class:`~repro.core.blocking.Members`:
+    a lattice point is in the tile when ``tile_of`` maps it there, and
+    the tile holds ``tile_volume`` points. O(1) to make, one
+    ``tile_of`` per probe."""
+
+    __slots__ = ("_tile_of", "_tile", "_volume")
+
+    def __init__(self, tessellation: Tessellation, tile: BlockId) -> None:
+        self._tile_of = tessellation.tile_of
+        self._tile = tile
+        self._volume = tessellation.tile_volume
+
+    def __contains__(self, vertex: object) -> bool:
+        return self._tile_of(vertex) == self._tile
+
+    def __len__(self) -> int:
+        return self._volume
 
 
 def contiguous_1d_blocking(block_size: int) -> TessellationBlocking:

@@ -106,16 +106,15 @@ class FarthestFaultPolicy(BlockChoicePolicy):
             raise PagingError(f"vertex {vertex!r} is not covered by the blocking")
         if len(candidates) == 1:
             return candidates[0]
-        # Materialize every candidate before any survivor set: building
-        # the two in turn fragments the heap and raises the peak RSS of
-        # the large-block cells.
-        sized = [(bid, blocking.block(bid).vertices) for bid in candidates]
         # LRU makes room for the candidate itself, so what survives
-        # depends on its size, which may be less than B.
+        # depends on its size, which may be less than B. Ranking needs
+        # only each candidate's membership and size, so it asks
+        # ``members``: a tile that loses is never built.
         survivors: dict[int, set[Vertex]] = {}
         best_bid = None
         best_distance = -1
-        for bid, block_vertices in sized:
+        for bid in candidates:
+            block_vertices = blocking.members(bid)
             size = len(block_vertices)
             if size not in survivors:
                 survivors[size] = self._surviving_coverage(memory, size)
@@ -150,7 +149,9 @@ class FarthestFaultPolicy(BlockChoicePolicy):
     def _fault_distance(self, vertex: Vertex, block_vertices, covered) -> int:
         """BFS distance from ``vertex`` to the nearest vertex in neither
         ``covered`` nor ``block_vertices``; capped by ``max_radius``
-        (a cap only matters for ranking ties)."""
+        (a cap only matters for ranking ties). ``covered`` is probed
+        first: it is a plain set, while an unbuilt tile answers by
+        arithmetic."""
         from collections import deque
 
         seen = {vertex}
@@ -163,7 +164,7 @@ class FarthestFaultPolicy(BlockChoicePolicy):
                 if v in seen:
                     continue
                 seen.add(v)
-                if v not in block_vertices and v not in covered:
+                if v not in covered and v not in block_vertices:
                     return du + 1
                 queue.append((v, du + 1))
         return len(seen)  # everything reachable is covered

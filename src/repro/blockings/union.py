@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.block import Block, make_block
-from repro.core.blocking import Blocking
+from repro.core.blocking import Blocking, Members
 from repro.errors import BlockingError
 from repro.typing import BlockId, Vertex
 
@@ -54,6 +54,10 @@ class UnionBlocking(Blocking):
         inner_block = self._copies[index].block(inner)
         # Re-wrap so the block's id matches the union's namespace.
         return make_block(block_id, inner_block.vertices, self._block_size)
+
+    def members(self, block_id: BlockId) -> Members:
+        index, inner = self._unpack(block_id)
+        return self._copies[index].members(inner)
 
     def storage_blowup(self) -> float:
         return sum(copy.storage_blowup() for copy in self._copies)

@@ -21,11 +21,21 @@ graphs the same quantity is the density of block copies per vertex.
 from __future__ import annotations
 
 import abc
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Protocol
 
 from repro.core.block import Block, make_block
 from repro.errors import BlockingError
 from repro.typing import BlockId, Vertex
+
+
+class Members(Protocol):
+    """A block's vertices as far as ranking needs them: membership and
+    size. A built block's ``frozenset`` is one; an unbuilt tile answers
+    both by arithmetic (see :meth:`Blocking.members`)."""
+
+    def __contains__(self, vertex: object, /) -> bool: ...
+
+    def __len__(self) -> int: ...
 
 
 class Blocking(abc.ABC):
@@ -52,6 +62,17 @@ class Blocking(abc.ABC):
     @abc.abstractmethod
     def storage_blowup(self) -> float:
         """The paper's ``s``: average number of block copies per vertex."""
+
+    def members(self, block_id: BlockId) -> Members:
+        """The block's vertices, for ``in`` and ``len`` only.
+
+        Policies rank candidate blocks through this, so a candidate
+        that loses is never built when the blocking can answer without
+        building it. The default builds the block and returns its
+        frozenset; :class:`~repro.blockings.grid_blocking.TessellationBlocking`
+        answers an unbuilt tile by arithmetic.
+        """
+        return self.block(block_id).vertices
 
     def primary_block_for(self, vertex: Vertex) -> Block:
         """The first block containing ``vertex`` (any one suffices to

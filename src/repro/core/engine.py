@@ -56,6 +56,12 @@ class MemoryView:
     bounds are worst case over paths, so the path generator may exploit
     full knowledge); exposing coverage queries plus the fault count is
     enough for every adversary in the paper.
+
+    :meth:`uncovered_among` answers a batch of vertices in one call and
+    returns a set that callers probe and never iterate, because its
+    order depends on ``PYTHONHASHSEED``. An adversary picks from it by
+    an order of its own: the corridor adversaries take the first cell
+    of minimum L1 distance in their cross-section's product order.
     """
 
     def __init__(self, memory: Memory, trace: SearchTrace) -> None:
@@ -69,6 +75,13 @@ class MemoryView:
     def uncovered(self, vertex: Vertex) -> bool:
         """Convenience negation, handy as a BFS predicate."""
         return not self._memory.covers(vertex)
+
+    def uncovered_among(self, vertices: Iterable[Vertex]) -> set[Vertex]:
+        """The given vertices that are not covered, answered in one
+        call: the weak model takes one C-level set difference per
+        resident block instead of a :meth:`covers` call per vertex.
+        Probe the result, never iterate it."""
+        return self._memory.uncovered_among(vertices)
 
     @property
     def fault_count(self) -> int:

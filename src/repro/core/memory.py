@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import abc
 from collections import deque
-from typing import Collection
+from typing import Collection, Iterable
 
 from repro.core.block import Block
 from repro.core.model import ModelParams, PagingModel
@@ -58,6 +58,17 @@ class Memory(abc.ABC):
     @abc.abstractmethod
     def covers(self, vertex: Vertex) -> bool:
         """Whether at least one copy of ``vertex`` is resident."""
+
+    def uncovered_among(self, vertices: Iterable[Vertex]) -> set[Vertex]:
+        """The given vertices that are not covered, as a set to probe.
+
+        One call answers a whole batch. :class:`WeakMemory` takes one
+        set difference per resident block, and :class:`StrongMemory`
+        one against its copy counts, both at C level; this default asks
+        :meth:`covers` per vertex. Callers probe the result and never
+        iterate it: set order depends on ``PYTHONHASHSEED``.
+        """
+        return {v for v in vertices if not self.covers(v)}
 
     @abc.abstractmethod
     def copies_of(self, vertex: Vertex) -> int:
@@ -126,6 +137,16 @@ class WeakMemory(Memory):
             if vertex in block.vertices:
                 return True
         return False
+
+    def uncovered_among(self, vertices: Iterable[Vertex]) -> set[Vertex]:
+        # Each difference runs at C level on the hashes the sets
+        # already hold: no vertex is hashed twice.
+        uncovered = set(vertices)
+        for block in self._resident.values():
+            if not uncovered:
+                break
+            uncovered = uncovered.difference(block.vertices)
+        return uncovered
 
     def copies_of(self, vertex: Vertex) -> int:
         return len(self.covering_blocks(vertex))
@@ -256,6 +277,9 @@ class StrongMemory(Memory):
 
     def covers(self, vertex: Vertex) -> bool:
         return vertex in self._counts
+
+    def uncovered_among(self, vertices: Iterable[Vertex]) -> set[Vertex]:
+        return set(vertices).difference(self._counts)
 
     def copies_of(self, vertex: Vertex) -> int:
         return self._counts.get(vertex, 0)

@@ -61,7 +61,7 @@ class LargestBlockPolicy(BlockChoicePolicy):
         candidates = blocking.blocks_for(vertex)
         if not candidates:
             raise PagingError(f"vertex {vertex!r} is not covered by the blocking")
-        return max(candidates, key=lambda bid: len(blocking.block(bid)))
+        return max(candidates, key=lambda bid: len(blocking.members(bid)))
 
 
 class MostUncoveredPolicy(BlockChoicePolicy):
@@ -76,7 +76,5 @@ class MostUncoveredPolicy(BlockChoicePolicy):
             raise PagingError(f"vertex {vertex!r} is not covered by the blocking")
         return max(
             candidates,
-            key=lambda bid: sum(
-                1 for v in blocking.block(bid) if not memory.covers(v)
-            ),
+            key=lambda bid: len(memory.uncovered_among(blocking.block(bid).vertices)),
         )

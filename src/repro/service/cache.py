@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.block import Block
-from repro.core.blocking import Blocking
+from repro.core.blocking import Blocking, Members
 from repro.errors import ServiceError, TenantBudgetError
 from repro.typing import BlockId, Vertex
 
@@ -297,6 +297,11 @@ class CachedBlocking(Blocking):
         else:
             self.coalesced += 1
         return block
+
+    def members(self, block_id: BlockId) -> Members:
+        # Ranking a candidate is not a block read: it bypasses the
+        # shared cache and leaves the tenant's tally alone.
+        return self._inner.members(block_id)
 
     def storage_blowup(self) -> float:
         return self._inner.storage_blowup()

@@ -1,11 +1,17 @@
 """Adversarial walkers: each realizes its lemma's upper bound."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     AdversaryError,
     FirstBlockPolicy,
+    MemoryView,
     ModelParams,
+    PagingModel,
     simulate_adversary,
 )
 from repro.adversaries import (
@@ -25,6 +31,7 @@ from repro.blockings import (
     FarthestFaultPolicy,
     MostInteriorPolicy,
     contiguous_1d_blocking,
+    grid_lemma13_blocking,
     lemma13_blocking,
     naive_subtree_blocking,
     offset_grid_blocking,
@@ -32,6 +39,9 @@ from repro.blockings import (
     sheared_grid_blocking,
     uniform_grid_blocking,
 )
+from repro.core.block import make_block
+from repro.core.memory import WeakMemory, make_memory
+from repro.core.stats import SearchTrace
 from repro.graphs import (
     CompleteTree,
     InfiniteDiagonalGridGraph,
@@ -187,6 +197,93 @@ class TestCorridor:
     def test_invalid_width(self):
         with pytest.raises(AdversaryError):
             GridCorridorAdversary(2, 16, 32, width=0)
+
+
+def reference_target(adversary, pathfront, view):
+    """The corridor target by the per-cell scan: every cell of every
+    column asked with ``view.covers``; within a column the first cell,
+    in product order, of strictly smaller L1 distance wins."""
+    x0 = pathfront[0]
+    for x in range(x0, x0 + adversary._horizon):
+        best = None
+        best_key = None
+        for cross in itertools.product(*adversary._cross_ranges()):
+            cell = (x,) + cross
+            if not view.covers(cell):
+                key = tuple(abs(c - p) for c, p in zip(cross, pathfront[1:]))
+                if best_key is None or sum(key) < sum(best_key):
+                    best = cell
+                    best_key = key
+        if best is not None:
+            return best
+    raise AdversaryError("no uncovered corridor cell")
+
+
+@st.composite
+def corridor_positions(draw):
+    """A corridor adversary, a memory holding one to three blocks near
+    its corridor, and a pathfront inside or outside the cross-section."""
+    dim = draw(st.integers(1, 3), label="dim")
+    block_size = {1: 8, 2: 16, 3: 27}[dim]
+    kind = draw(st.sampled_from(["tiles", "balls"]), label="blocking")
+    if kind == "tiles":
+        blocking = offset_grid_blocking(dim, block_size)
+    else:
+        blocking = grid_lemma13_blocking(dim, block_size)
+    memory_size = 3 * block_size
+    model = draw(st.sampled_from([PagingModel.WEAK, PagingModel.STRONG]))
+    base = draw(st.tuples(*[st.integers(-3, 3)] * dim), label="base")
+    cls = draw(st.sampled_from([GridCorridorAdversary, DiagonalCorridorAdversary]))
+    adversary = cls(dim, block_size, memory_size, base=base)
+    horizon = draw(st.one_of(st.none(), st.integers(1, 4)), label="horizon")
+    if horizon is not None:
+        adversary._horizon = horizon  # small enough that a scan can fail
+    width = adversary.width
+    near = st.tuples(
+        st.integers(base[0] - 2, base[0] + 6),
+        *[st.integers(b - 2, b + width + 1) for b in base[1:]],
+    )
+    pathfront = draw(near, label="pathfront")
+    memory = make_memory(ModelParams(block_size, memory_size, model))
+    for cell in draw(st.lists(near, min_size=1, max_size=3), label="blocks at"):
+        candidates = blocking.blocks_for(cell)
+        bid = candidates[draw(st.integers(0, len(candidates) - 1))]
+        block = blocking.block(bid)
+        if isinstance(memory, WeakMemory) and memory.is_resident(bid):
+            continue
+        memory.load(block)
+    return adversary, pathfront, MemoryView(memory, SearchTrace())
+
+
+class TestCorridorTarget:
+    """One ``uncovered_among`` call per column finds the very cell the
+    per-cell scan finds, tie-break included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(position=corridor_positions())
+    def test_matches_the_per_cell_scan(self, position):
+        adversary, pathfront, view = position
+        try:
+            expected = reference_target(adversary, pathfront, view)
+        except AdversaryError:
+            with pytest.raises(AdversaryError):
+                adversary._find_target(pathfront, view)
+        else:
+            assert adversary._find_target(pathfront, view) == expected
+
+    def test_own_cross_cell_wins_when_uncovered(self):
+        adversary = GridCorridorAdversary(3, 27, 81)  # width 3
+        memory = make_memory(ModelParams(27, 81))
+        view = MemoryView(memory, SearchTrace())
+        assert adversary._find_target((5, 2, 1), view) == (5, 2, 1)
+        # Outside the cross-section: the nearest cell, first in
+        # product order among the nearest.
+        assert adversary._find_target((5, 4, 4), view) == (5, 2, 2)
+        assert adversary._find_target((5, 1, -1), view) == (5, 1, 0)
+        # Own cell covered: four cells tie at distance 1, and the first
+        # in product order wins.
+        memory.load(make_block("own", {(5, 1, 1)}, 27))
+        assert adversary._find_target((5, 1, 1), view) == (5, 0, 1)
 
 
 class TestRootLeaf:

@@ -1,6 +1,8 @@
 """Grid blockings: Lemmas 20, 22, 23, 26, 27, 28."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import BlockingError
 from repro.blockings import (
@@ -43,6 +45,30 @@ class TestContiguous1d:
         b = contiguous_1d_blocking(4)
         bid = b.blocks_for((-1,))[0]
         assert (-4,) in b.block(bid).vertices
+
+
+class TestTessellationInteriorDistance:
+    """``interior_distance`` measures from the tile it is given: a
+    tile that does not hold the vertex gives it no depth (<= 0), the
+    convention of the ball blockings."""
+
+    def test_outside_vertex_has_no_depth(self):
+        assert contiguous_1d_blocking(64).interior_distance((5,), (0,)) <= 0
+        assert offset_grid_blocking(2, 64).interior_distance((0, (3, 3)), (1, 1)) <= 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        vertex=st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
+        tile=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    )
+    def test_depth_is_positive_exactly_inside_the_tile(self, vertex, tile):
+        b = offset_grid_blocking(2, 64)  # side 8, copy 1 offset by 4
+        for copy in (0, 1):
+            bid = (copy, tile)
+            depth = b.interior_distance(bid, vertex)
+            assert (depth > 0) == (vertex in b.block(bid))
+            if bid in b.blocks_for(vertex):
+                assert depth == b.copies[copy].tessellation.boundary_distance(vertex)
 
 
 class TestOffset1d:

@@ -396,3 +396,42 @@ class TestStrongMemoryModel:
             assert mem.covered_vertices() == set(copies)
             assert mem.covered_count == len(mem.covered_vertices())
             assert mem.occupancy == len(copies)
+
+
+class TestUncoveredAmong:
+    """``uncovered_among`` answers a batch exactly as ``covers`` answers
+    each vertex, in both models, for any residency and any batch."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        memory_size=st.integers(4, 12),
+        model=st.sampled_from([PagingModel.WEAK, PagingModel.STRONG]),
+    )
+    def test_matches_covers(self, data, memory_size, model):
+        pool = data.draw(block_pools())
+        mem = make_memory(ModelParams(4, memory_size, model))
+        for k in data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=6)):
+            blk = pool[k]
+            if isinstance(mem, WeakMemory):
+                if mem.is_resident(blk.block_id):
+                    continue
+                while not mem.room_for(len(blk)):
+                    mem.evict_block(mem.lru_block())
+            else:
+                deficit = mem.occupancy + len(blk) - mem.capacity
+                if deficit > 0:
+                    mem.evict_oldest(deficit)
+            mem.load(blk)
+        vs = data.draw(st.lists(st.sampled_from([*UNIVERSE, OUTSIDE]), max_size=10))
+        assert mem.uncovered_among(vs) == {v for v in vs if not mem.covers(v)}
+        assert mem.uncovered_among(iter(vs)) == {v for v in vs if not mem.covers(v)}
+
+    @pytest.mark.parametrize("model", [PagingModel.WEAK, PagingModel.STRONG])
+    def test_empty_memory_and_empty_input(self, model):
+        mem = make_memory(ModelParams(4, 8, model))
+        assert mem.uncovered_among([]) == set()
+        assert mem.uncovered_among([1, 2, 2]) == {1, 2}
+        mem.load(block("a", {1, 3}))
+        assert mem.uncovered_among([]) == set()
+        assert mem.uncovered_among([1, 2, 3, OUTSIDE]) == {2, OUTSIDE}
