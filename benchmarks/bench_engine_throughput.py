@@ -8,16 +8,20 @@ one-shot Table 1 games.
 
 from repro import FirstBlockPolicy, ModelParams, Searcher
 from repro.adversaries import (
+    DiagonalCorridorAdversary,
     GridCorridorAdversary,
     RandomWalkAdversary,
+    RootLeafAdversary,
     UniformCornerAdversary,
 )
 from repro.blockings import (
     FarthestFaultPolicy,
+    MostInteriorPolicy,
     offset_grid_blocking,
+    overlapped_tree_blocking,
     uniform_grid_blocking,
 )
-from repro.graphs import InfiniteGridGraph
+from repro.graphs import CompleteTree, InfiniteDiagonalGridGraph, InfiniteGridGraph
 from repro.obs import Instrumentation, JsonlSink, replay_file, verify_run
 
 
@@ -118,6 +122,50 @@ def test_throughput_s2_corridor_5d(benchmark):
     trace = benchmark(game)
     assert trace.steps == 2_000
     assert trace.faults == 502
+
+
+def test_throughput_tree_overlapped(benchmark):
+    """The s=2 game of the tree cell (binary tree of height 300,
+    B=1023, M=2B, Lemma 17 blocking, Theorem 7 root-leaf adversary):
+    stratum blocks of up to 1,023 deep heap indices built as the walk
+    reaches them, and a depth and an ancestor per candidate at every
+    fault. A fresh blocking each round, as each sweep pass builds."""
+    tree = CompleteTree(2, 300)
+
+    def game():
+        searcher = Searcher(
+            tree,
+            overlapped_tree_blocking(tree, 1023),
+            MostInteriorPolicy(),
+            ModelParams(1023, 2046),
+            validate_moves=False,
+        )
+        return searcher.run_adversary(RootLeafAdversary(tree), 2_000)
+
+    trace = benchmark(game)
+    assert trace.steps == 2_000
+    assert trace.faults == 391
+
+
+def test_throughput_diagonal_corridor(benchmark):
+    """The diagonal cell (2-D diagonal grid, offset s=2 tiles, B=64,
+    M=2B, Lemma 25 corridor adversary): a king-move BFS per candidate
+    per fault. A fresh blocking each round, as each sweep pass builds."""
+    graph = InfiniteDiagonalGridGraph(2)
+
+    def game():
+        searcher = Searcher(
+            graph,
+            offset_grid_blocking(2, 64),
+            FarthestFaultPolicy(graph),
+            ModelParams(64, 128),
+            validate_moves=False,
+        )
+        return searcher.run_adversary(DiagonalCorridorAdversary(2, 64, 128), 2_000)
+
+    trace = benchmark(game)
+    assert trace.steps == 2_000
+    assert trace.faults == 252
 
 
 def test_throughput_move_validation_cost(benchmark):

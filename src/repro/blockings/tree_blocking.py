@@ -15,6 +15,8 @@ membership is depth arithmetic on the heap indices.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from repro.blockings.union import UnionBlocking
 from repro.core.blocking import ImplicitBlocking
 from repro.errors import BlockingError
@@ -85,45 +87,58 @@ class TreeStrataBlocking(ImplicitBlocking):
         return self._offset + ((depth - self._offset) // self._levels) * self._levels
 
     def _block_levels(self, start: int) -> int:
-        """How many levels the block starting at ``start`` spans."""
-        if start == 0 and self._offset > 0:
-            return self._offset
-        return min(self._levels, self._tree.height - start + 1)
+        """How many levels the block starting at ``start`` spans,
+        clipped at the leaves."""
+        span = self._offset if start == 0 and self._offset > 0 else self._levels
+        return min(span, self._tree.height - start + 1)
 
-    def blocks_for(self, vertex: Vertex) -> tuple[BlockId, ...]:
-        depth = self._tree.depth(vertex)
-        root = self._tree.ancestor_at_depth(vertex, self._stratum_start(depth))
-        return (root,)
-
-    def _materialize(self, block_id: BlockId) -> frozenset[int]:
+    def _root_depth(self, block_id: BlockId) -> int:
+        """The depth of the stratum root ``block_id``; raises
+        :class:`BlockingError` for anything else."""
         tree = self._tree
         if not tree.has_vertex(block_id):
             raise BlockingError(f"unknown block root {block_id!r}")
         start = tree.depth(block_id)
         if start != self._stratum_start(start):
             raise BlockingError(f"{block_id!r} is not a stratum root")
-        levels = self._block_levels(start)
-        members = [block_id]
-        frontier = [block_id]
-        for _ in range(levels - 1):
-            nxt: list[int] = []
-            for v in frontier:
-                nxt.extend(tree.children(v))
-            members.extend(nxt)
-            frontier = nxt
-        return frozenset(members)
+        return start
+
+    def blocks_for(self, vertex: Vertex) -> tuple[BlockId, ...]:
+        depth = self._tree.depth(vertex)
+        return (self._tree.ancestor(vertex, depth - self._stratum_start(depth)),)
+
+    def _materialize(self, block_id: BlockId) -> frozenset[int]:
+        """The block's levels as index runs (the level-range identity of
+        :mod:`repro.graphs.tree`), chained top level first. Each run
+        lists its level left to right, so the vertices go in exactly as
+        a level-by-level BFS over ``children`` adds them. The same keys
+        added in the same order give the same hash table, so the
+        frozenset iterates in the same order too."""
+        tree = self._tree
+        start = self._root_depth(block_id)
+        return frozenset(
+            chain.from_iterable(
+                tree.level_range(block_id, j)
+                for j in range(self._block_levels(start))
+            )
+        )
 
     def interior_distance(self, block_id: BlockId, vertex: Vertex) -> float:
-        """Steps from ``vertex`` to the nearest vertex outside its
-        block: out through the top (to the stratum root's parent) or
-        out through the bottom (to a child of the block's last level).
-        Sides of a subtree block border nothing — a tree has no lateral
-        edges — and blocks touching the tree's root or leaves have no
-        exit that way."""
+        """Steps from ``vertex`` to the nearest vertex outside block
+        ``block_id``: out through the top (to the stratum root's
+        parent) or out through the bottom (to a child of the block's
+        last level). Sides of a subtree block border nothing — a tree
+        has no lateral edges — and blocks touching the tree's root or
+        leaves have no exit that way. At most 0 when the block does not
+        hold ``vertex``."""
         tree = self._tree
-        start = tree.depth(block_id)
+        start = self._root_depth(block_id)
         depth = tree.depth(vertex)
         bottom = start + self._block_levels(start) - 1
+        if not start <= depth <= bottom:
+            return 0.0
+        if tree.ancestor(vertex, depth - start) != block_id:
+            return 0.0
         up = float("inf") if start == 0 else (depth - start) + 1
         down = float("inf") if bottom >= tree.height else (bottom - depth) + 1
         return min(up, down)

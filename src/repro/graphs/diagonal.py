@@ -10,26 +10,34 @@ distance.
 from __future__ import annotations
 
 import itertools
+from operator import add
 from typing import Iterator, Sequence
 
 from repro.errors import GraphError
 from repro.graphs.base import FiniteGraph, Graph
+from repro.graphs.grid import _is_coord
 from repro.typing import Coord, Vertex
 
 
-def _king_moves(coord: Coord) -> Iterator[Coord]:
-    """All lattice points at Chebyshev distance exactly 1 from ``coord``."""
-    for deltas in itertools.product((-1, 0, 1), repeat=len(coord)):
-        if any(deltas):
-            yield tuple(c + d for c, d in zip(coord, deltas))
-
-
-def _is_coord(vertex: Vertex, dim: int) -> bool:
-    return (
-        isinstance(vertex, tuple)
-        and len(vertex) == dim
-        and all(isinstance(c, int) for c in vertex)
+def _king_deltas(dim: int) -> tuple[Coord, ...]:
+    """The ``3^d - 1`` king moves of ``Z^d`` as offsets, in
+    ``itertools.product((-1, 0, 1), repeat=d)`` order without the zero
+    move. The ordering is part of the contract: seeded adversaries
+    index into neighbor lists (as for the grid's axis moves)."""
+    return tuple(
+        delta for delta in itertools.product((-1, 0, 1), repeat=dim) if any(delta)
     )
+
+
+def _king_moves(coord: Coord, deltas: tuple[Coord, ...]) -> list[Coord]:
+    """All lattice points at Chebyshev distance exactly 1 from
+    ``coord``: one row of the ``deltas`` table each. Hot path (a
+    policy's BFS asks it for every vertex it visits), so the 2-D case
+    is built literally."""
+    if len(coord) == 2:
+        x, y = coord
+        return [(x + dx, y + dy) for dx, dy in deltas]
+    return [tuple(map(add, coord, delta)) for delta in deltas]
 
 
 class InfiniteDiagonalGridGraph(Graph):
@@ -39,6 +47,7 @@ class InfiniteDiagonalGridGraph(Graph):
         if dim < 1:
             raise GraphError(f"dimension must be >= 1, got {dim}")
         self._dim = dim
+        self._deltas = _king_deltas(dim)
 
     @property
     def dim(self) -> int:
@@ -46,7 +55,7 @@ class InfiniteDiagonalGridGraph(Graph):
 
     def neighbors(self, vertex: Vertex) -> list[Coord]:
         self._check(vertex)
-        return list(_king_moves(vertex))
+        return _king_moves(vertex, self._deltas)
 
     def has_vertex(self, vertex: Vertex) -> bool:
         return _is_coord(vertex, self._dim)
@@ -86,6 +95,7 @@ class DiagonalGridGraph(FiniteGraph):
             raise GraphError(f"all extents must be >= 1, got {tuple(shape)}")
         self._shape = tuple(int(extent) for extent in shape)
         self._dim = len(self._shape)
+        self._deltas = _king_deltas(self._dim)
         self._size = 1
         for extent in self._shape:
             self._size *= extent
@@ -100,7 +110,7 @@ class DiagonalGridGraph(FiniteGraph):
 
     def neighbors(self, vertex: Vertex) -> list[Coord]:
         self._check(vertex)
-        return [c for c in _king_moves(vertex) if self._inside(c)]
+        return [c for c in _king_moves(vertex, self._deltas) if self._inside(c)]
 
     def has_vertex(self, vertex: Vertex) -> bool:
         return _is_coord(vertex, self._dim) and self._inside(vertex)

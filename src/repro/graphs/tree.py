@@ -8,7 +8,17 @@ arity ``d``):
 
 * root is ``0``,
 * children of ``v`` are ``d*v + 1 .. d*v + d``,
-* parent of ``v`` is ``(v - 1) // d``.
+* parent of ``v`` is ``(v - 1) // d``,
+* depth ``j`` starts at ``start(j) = (d^j - 1) / (d - 1)``, so the
+  depth of ``v`` is ``floor(log_d((d - 1) v + 1))``.
+
+Unrolling the child rule ``j`` times gives the *level-range identity*:
+the descendants of ``v`` exactly ``j`` levels below it are the one
+contiguous index run ``[d^j v + start(j), d^j (v + 1) + start(j))``,
+listed left to right. Unrolling the parent rule gives its inverse: the
+ancestor ``n`` levels above ``v`` is ``(v - start(n)) // d^n``. A depth,
+an ancestor, or a whole subtree level is therefore O(1) big-int
+arithmetic, never a walk.
 
 The representation is implicit — neighbors are computed arithmetically
 — so trees far larger than memory cost nothing to "store", exactly
@@ -17,6 +27,7 @@ matching the external-searching setting.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
 from repro.errors import GraphError
@@ -42,6 +53,11 @@ class CompleteTree(FiniteGraph):
         self._size = tree_size(arity, height)
         # Index of the first leaf; every v >= this is a leaf.
         self._first_leaf = tree_size(arity, height - 1) if height > 0 else 0
+        # log2(d) when d is a power of two (depth is then a bit length),
+        # else 0.
+        self._log2_arity = (
+            arity.bit_length() - 1 if arity & (arity - 1) == 0 else 0
+        )
 
     # -- tree structure ----------------------------------------------------
 
@@ -79,36 +95,62 @@ class CompleteTree(FiniteGraph):
     def children(self, vertex: int) -> list[int]:
         """The children of ``vertex`` (empty for leaves)."""
         self._check(vertex)
-        if self.is_leaf(vertex):
-            return []
-        first = self._arity * vertex + 1
-        return list(range(first, first + self._arity))
+        return self._children(vertex)
 
     def is_leaf(self, vertex: int) -> bool:
         self._check(vertex)
         return vertex >= self._first_leaf
 
     def depth(self, vertex: int) -> int:
-        """Distance from the root to ``vertex``."""
+        """Distance from the root to ``vertex``: the exact integer
+        ``floor(log_d((d - 1) v + 1))``."""
         self._check(vertex)
-        depth = 0
-        v = vertex
-        while v != 0:
-            v = (v - 1) // self._arity
-            depth += 1
-        return depth
+        x = (self._arity - 1) * vertex + 1
+        if self._log2_arity:
+            return (x.bit_length() - 1) // self._log2_arity
+        # A float estimate, corrected with exact integer powers: the
+        # float alone is off by one near exact powers of d.
+        d = self._arity
+        j = int(math.log(x, d))
+        while d ** j > x:
+            j -= 1
+        while d ** (j + 1) <= x:
+            j += 1
+        return j
+
+    def ancestor(self, vertex: int, levels: int) -> int:
+        """The ancestor ``levels`` steps above ``vertex`` (``vertex``
+        itself for 0): ``(v - start(levels)) // d^levels``. It exists
+        exactly when ``v >= start(levels)``, so no depth is needed."""
+        self._check(vertex)
+        if not 0 <= levels <= self._height:
+            raise GraphError(f"vertex {vertex} has no ancestor {levels} levels up")
+        first = self._level_start(levels)
+        if vertex < first:
+            raise GraphError(f"vertex {vertex} has no ancestor {levels} levels up")
+        return (vertex - first) // self._arity ** levels
 
     def ancestor_at_depth(self, vertex: int, depth: int) -> int:
-        """The ancestor of ``vertex`` at the given (smaller) depth."""
+        """The ancestor of ``vertex`` at the given (smaller) depth: for
+        ``v`` at depth ``k``, the ancestor ``k - a`` levels up, which
+        is ``start(a) + (v - start(k)) // d^(k - a)``."""
         current = self.depth(vertex)
         if depth > current or depth < 0:
             raise GraphError(
                 f"vertex {vertex} has depth {current}; no ancestor at depth {depth}"
             )
-        v = vertex
-        for _ in range(current - depth):
-            v = (v - 1) // self._arity
-        return v
+        return self.ancestor(vertex, current - depth)
+
+    def level_range(self, vertex: int, levels: int) -> range:
+        """The descendants of ``vertex`` exactly ``levels`` below it,
+        in index order: ``[d^j v + start(j), d^j (v + 1) + start(j))``
+        for ``j = levels``, empty below the leaves."""
+        self._check(vertex)
+        if levels < 0:
+            raise GraphError(f"levels must be >= 0, got {levels}")
+        span = self._arity ** levels
+        first = span * vertex + self._level_start(levels)
+        return range(first, min(first + span, self._size))
 
     def leaves(self) -> Iterator[int]:
         """Iterate over all leaves in index order."""
@@ -148,7 +190,7 @@ class CompleteTree(FiniteGraph):
 
     def neighbors(self, vertex: Vertex) -> list[int]:
         self._check(vertex)
-        nbrs = self.children(vertex)
+        nbrs = self._children(vertex)
         if vertex != 0:
             nbrs.append((vertex - 1) // self._arity)
         return nbrs
@@ -179,3 +221,14 @@ class CompleteTree(FiniteGraph):
     def _check(self, vertex: Vertex) -> None:
         if not self.has_vertex(vertex):
             raise GraphError(f"vertex {vertex!r} is not in the tree")
+
+    def _children(self, vertex: int) -> list[int]:
+        """``children`` of a vertex already checked."""
+        if vertex >= self._first_leaf:
+            return []
+        first = self._arity * vertex + 1
+        return list(range(first, first + self._arity))
+
+    def _level_start(self, depth: int) -> int:
+        """``start(depth)``: the index of the first vertex at ``depth``."""
+        return (self._arity ** depth - 1) // (self._arity - 1)

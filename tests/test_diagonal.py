@@ -1,6 +1,10 @@
 """Diagonal (king-move) grid graphs."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import DiagonalGridGraph, GraphError, InfiniteDiagonalGridGraph
 from repro.graphs import bfs_distances, chebyshev_distance
@@ -77,3 +81,47 @@ class TestHasEdgeFastPath:
         assert infinite.has_edge((0, 0), (1, 1))  # the diagonal move
         assert not infinite.has_edge((0, 0), (2, 1))
         assert not infinite.has_edge((0, 0), (0, 0))
+
+
+def _product_king_moves(point):
+    """The generator the delta table replaced, kept as the reference:
+    ``product((-1, 0, 1), repeat=d)`` order without the zero move."""
+    return [
+        tuple(c + d for c, d in zip(point, delta))
+        for delta in itertools.product((-1, 0, 1), repeat=len(point))
+        if any(delta)
+    ]
+
+
+class TestKingMoveTable:
+    """Neighbor lists come from a per-dimension delta table in the
+    order seeded adversaries index into."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        point=st.integers(1, 4).flatmap(
+            lambda d: st.tuples(*[st.integers(-10**6, 10**6)] * d)
+        )
+    )
+    def test_infinite_matches_product_order(self, point):
+        graph = InfiniteDiagonalGridGraph(len(point))
+        assert graph.neighbors(point) == _product_king_moves(point)
+
+    @pytest.mark.parametrize("shape", [(5,), (4, 3), (3, 4, 2), (2, 3, 2, 3)])
+    def test_finite_matches_product_order_everywhere(self, shape):
+        # Every cell, so interior, face, edge and corner cells all count.
+        graph = DiagonalGridGraph(shape)
+        for point in graph.vertices():
+            expected = [
+                q for q in _product_king_moves(point) if graph.has_vertex(q)
+            ]
+            assert graph.neighbors(point) == expected
+
+    @pytest.mark.parametrize(
+        "bad", [(0,), (0, 0, 0), (0, 1.0), (0, "a"), [0, 0], "ab", 3, None]
+    )
+    def test_checks_still_fire(self, bad):
+        for graph in (InfiniteDiagonalGridGraph(2), DiagonalGridGraph((3, 3))):
+            assert not graph.has_vertex(bad)
+            with pytest.raises(GraphError):
+                graph.neighbors(bad)

@@ -1,6 +1,8 @@
 """CompleteTree: heap-index arithmetic and graph structure."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import CompleteTree, GraphError
 from repro.graphs import bfs_distances, tree_size
@@ -140,3 +142,146 @@ class TestHasEdgeFastPath:
         assert t.has_edge(parent, deep)
         assert not t.has_edge(deep, deep - 1)
         assert not t.has_edge(0, 0)
+
+
+# The walks the arithmetic replaced, kept as the reference.
+
+
+def _walk_depth(tree, vertex):
+    depth = 0
+    while vertex != 0:
+        vertex = (vertex - 1) // tree.arity
+        depth += 1
+    return depth
+
+
+def _walk_ancestor_at_depth(tree, vertex, depth):
+    for _ in range(_walk_depth(tree, vertex) - depth):
+        vertex = (vertex - 1) // tree.arity
+    return vertex
+
+
+def _level_bounds(tree):
+    """(first, last) index of every level, root first."""
+    bounds = []
+    first = 0
+    for depth in range(tree.height + 1):
+        width = tree.arity ** depth
+        bounds.append((first, first + width - 1))
+        first += width
+    return bounds
+
+
+_trees = st.builds(
+    CompleteTree, st.integers(min_value=2, max_value=7), st.integers(0, 300)
+)
+
+
+class TestArithmeticMatchesWalk:
+    """``depth``, ``ancestor_at_depth``, ``ancestor`` and
+    ``level_range`` are closed forms of the heap layout; each must
+    equal the walk it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(tree=_trees, data=st.data())
+    def test_depth_at_random_vertices_and_every_level_edge(self, tree, data):
+        vertex = data.draw(st.integers(0, tree.size - 1))
+        assert tree.depth(vertex) == _walk_depth(tree, vertex)
+        for depth, (first, last) in enumerate(_level_bounds(tree)):
+            assert tree.depth(first) == depth == _walk_depth(tree, first)
+            assert tree.depth(last) == depth == _walk_depth(tree, last)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tree=_trees, data=st.data())
+    def test_ancestor_at_every_target_depth(self, tree, data):
+        first, last = data.draw(st.sampled_from(_level_bounds(tree)))
+        for vertex in (data.draw(st.integers(0, tree.size - 1)), first, last):
+            depth = _walk_depth(tree, vertex)
+            for target in range(depth + 1):
+                expected = _walk_ancestor_at_depth(tree, vertex, target)
+                assert tree.ancestor_at_depth(vertex, target) == expected
+                assert tree.ancestor(vertex, depth - target) == expected
+            with pytest.raises(GraphError):
+                tree.ancestor_at_depth(vertex, depth + 1)
+            with pytest.raises(GraphError):
+                tree.ancestor_at_depth(vertex, -1)
+            with pytest.raises(GraphError):
+                tree.ancestor(vertex, depth + 1)
+            with pytest.raises(GraphError):
+                tree.ancestor(vertex, -1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tree=st.builds(
+            CompleteTree, st.integers(min_value=2, max_value=7), st.integers(0, 7)
+        ),
+        data=st.data(),
+    )
+    def test_level_range_is_the_children_bfs(self, tree, data):
+        vertex = data.draw(st.integers(0, tree.size - 1))
+        frontier = [vertex]
+        for levels in range(tree.height + 2):
+            assert list(tree.level_range(vertex, levels)) == frontier
+            frontier = [c for v in frontier for c in tree.children(v)]
+        with pytest.raises(GraphError):
+            tree.level_range(vertex, -1)
+
+    def test_depth_exact_at_powers_of_the_arity(self):
+        # (d - 1) v + 1 = d^j exactly at each level's first index, where
+        # a float logarithm alone can land just below j.
+        for arity in range(2, 8):
+            tree = CompleteTree(arity, 300)
+            for depth, (first, last) in enumerate(_level_bounds(tree)):
+                assert tree.depth(first) == depth
+                assert tree.depth(last) == depth
+
+
+class _CountingTree(CompleteTree):
+    """Counts ``has_vertex`` calls, which every validation goes through."""
+
+    def __init__(self, arity, height):
+        super().__init__(arity, height)
+        self.checks = 0
+
+    def has_vertex(self, vertex):
+        self.checks += 1
+        return super().has_vertex(vertex)
+
+
+class TestOneValidationPerCall:
+    @pytest.mark.parametrize("vertex", [0, 1, 14, 15, 30])
+    @pytest.mark.parametrize("method", ["neighbors", "children", "is_leaf"])
+    def test_validates_once(self, method, vertex):
+        tree = _CountingTree(2, 4)
+        getattr(tree, method)(vertex)
+        assert tree.checks == 1
+
+    @pytest.mark.parametrize("bad", [-1, "size", 1.0, "a"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda tree, v: tree.neighbors(v),
+            lambda tree, v: tree.children(v),
+            lambda tree, v: tree.is_leaf(v),
+            lambda tree, v: tree.depth(v),
+            lambda tree, v: tree.parent(v),
+            lambda tree, v: tree.ancestor(v, 0),
+            lambda tree, v: tree.ancestor_at_depth(v, 0),
+            lambda tree, v: tree.level_range(v, 0),
+        ],
+        ids=[
+            "neighbors",
+            "children",
+            "is_leaf",
+            "depth",
+            "parent",
+            "ancestor",
+            "ancestor_at_depth",
+            "level_range",
+        ],
+    )
+    def test_checks_still_fire(self, call, bad):
+        tree = CompleteTree(2, 4)
+        vertex = tree.size if bad == "size" else bad
+        with pytest.raises(GraphError):
+            call(tree, vertex)

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import BlockingError, CompleteTree
 from repro.blockings import (
@@ -141,3 +143,143 @@ class TestOverlapped:
         tree = CompleteTree(2, 4)
         with pytest.raises(BlockingError):
             overlapped_tree_blocking(tree, 1)
+
+
+def _reference_levels(blocking, start):
+    """How many levels the block starting at depth ``start`` spans."""
+    if start == 0 and blocking.offset > 0:
+        return blocking.offset
+    return min(blocking.levels, blocking.tree.height - start + 1)
+
+
+def _bfs_block(blocking, root):
+    """The level-by-level ``children`` BFS that built a stratum block
+    before the level ranges did, kept as the reference."""
+    tree = blocking.tree
+    members = [root]
+    frontier = [root]
+    for _ in range(_reference_levels(blocking, tree.depth(root)) - 1):
+        nxt = []
+        for v in frontier:
+            nxt.extend(tree.children(v))
+        members.extend(nxt)
+        frontier = nxt
+    return frozenset(members)
+
+
+def _depth_only_interior_distance(blocking, root, vertex):
+    """The interior distance before it asked whether the block holds
+    the vertex, kept as the reference for vertices it does hold."""
+    tree = blocking.tree
+    start = tree.depth(root)
+    depth = tree.depth(vertex)
+    bottom = start + _reference_levels(blocking, start) - 1
+    up = float("inf") if start == 0 else (depth - start) + 1
+    down = float("inf") if bottom >= tree.height else (bottom - depth) + 1
+    return min(up, down)
+
+
+@st.composite
+def _strata(draw):
+    """A tree stratification: arity 2..4, a few levels per block, any
+    offset (0 or a partial top block), trees as short as one level
+    (every block clipped at the leaves) or many blocks tall."""
+    arity = draw(st.integers(2, 4))
+    levels = draw(st.integers(1, 4))
+    offset = draw(st.integers(0, levels - 1))
+    height = draw(st.integers(0, 12 if arity == 2 else 6))
+    tree = CompleteTree(arity, height)
+    block_size = (arity ** levels - 1) // (arity - 1)
+    return TreeStrataBlocking(tree, block_size, levels, offset)
+
+
+class TestLevelRangeBlocks:
+    """A stratum block is its ``levels`` index runs, chained: the same
+    frozenset as the ``children`` BFS it replaced, iterating in the
+    same order, so traces and sigma stay byte-identical."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(blocking=_strata(), data=st.data())
+    def test_equals_the_bfs_in_iteration_order(self, blocking, data):
+        tree = blocking.tree
+        vertex = data.draw(st.integers(0, tree.size - 1))
+        leaf = tree.size - 1
+        for v in (0, vertex, leaf):
+            (root,) = blocking.blocks_for(v)
+            new = blocking.block(root).vertices
+            reference = _bfs_block(blocking, root)
+            assert new == reference
+            assert list(new) == list(reference)
+            assert v in new
+
+    @pytest.mark.parametrize("copy", [0, 1])
+    def test_sweep_shape_both_strata_copies(self, copy):
+        # The Table 1 tree cell: B = 1023 on a binary tree of height 300.
+        tree = CompleteTree(2, 300)
+        strata = overlapped_tree_blocking(tree, 1023).copies[copy]
+        deep = tree.size // 3
+        for v in (0, 1, deep, tree.size - 1):
+            (root,) = strata.blocks_for(v)
+            new = strata.block(root).vertices
+            reference = _bfs_block(strata, root)
+            assert list(new) == list(reference)
+
+    def test_partial_top_and_clipped_blocks(self):
+        tree = CompleteTree(3, 4)
+        blocking = TreeStrataBlocking(tree, 40, levels=4, offset=2)
+        top = blocking.block(0).vertices
+        assert list(top) == list(_bfs_block(blocking, 0))
+        assert len(top) == 1 + 3  # the offset's two levels
+        # The leaves' stratum starts at depth 2: 4 levels, clipped to 3.
+        (root,) = blocking.blocks_for(tree.size - 1)
+        clipped = blocking.block(root).vertices
+        assert len(clipped) == 1 + 3 + 9
+        assert list(clipped) == list(_bfs_block(blocking, root))
+
+    def test_builds_without_children(self):
+        class NoChildren(CompleteTree):
+            def children(self, vertex):
+                raise AssertionError("children called while building a block")
+
+        tree = NoChildren(2, 12)
+        blocking = overlapped_tree_blocking(tree, 15)
+        for v in (0, 5, 100, tree.size - 1):
+            for bid in blocking.blocks_for(v):
+                assert v in blocking.block(bid)
+
+    @pytest.mark.parametrize("bad", [-1, "size", 1.0, "a", 1, 2])
+    def test_rejects_unknown_and_non_root_ids(self, bad):
+        tree = CompleteTree(2, 6)
+        blocking = TreeStrataBlocking(tree, 15, levels=3, offset=0)
+        block_id = tree.size if bad == "size" else bad
+        with pytest.raises(BlockingError):
+            blocking.block(block_id)
+        with pytest.raises(BlockingError):
+            blocking.interior_distance(block_id, 0)
+
+
+class TestInteriorDistanceAsksTheBlock:
+    def test_sibling_subtree_is_outside(self):
+        tree = CompleteTree(2, 10)
+        blocking = naive_subtree_blocking(tree, 15)  # 4 levels
+        assert blocking.blocks_for(16) == (16,)
+        assert 16 not in blocking.block(15)
+        assert blocking.interior_distance(15, 16) <= 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(blocking=_strata(), data=st.data())
+    def test_held_unchanged_and_others_at_most_zero(self, blocking, data):
+        tree = blocking.tree
+        vertex = data.draw(st.integers(0, tree.size - 1))
+        roots = {blocking.blocks_for(v)[0] for v in (0, vertex, tree.size - 1)}
+        for root in roots:
+            block = blocking.block(root)
+            for v in (0, vertex, tree.size - 1, *block):
+                distance = blocking.interior_distance(root, v)
+                if v in block:
+                    assert distance == _depth_only_interior_distance(
+                        blocking, root, v
+                    )
+                    assert distance >= 1
+                else:
+                    assert distance <= 0
