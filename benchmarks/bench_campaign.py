@@ -16,7 +16,7 @@ Three numbers this benchmark pins down for ``BENCH_campaign.json``:
 import json
 from pathlib import Path
 
-from repro.experiments import run_all_parallel, run_campaign
+from repro.experiments import run_all, run_campaign
 from repro.experiments.chaos import ChaosConfig
 from repro.obs import Instrumentation, MetricsRegistry, use_instrumentation
 
@@ -24,7 +24,7 @@ SUBSET = ["grid1d", "pathological", "example2"]
 
 
 def test_campaign_vs_serial_overhead(benchmark, tmp_path):
-    serial = run_all_parallel(quick=True, jobs=1, names=SUBSET)
+    serial = run_all(quick=True, names=SUBSET)
 
     def campaign():
         return run_campaign(

@@ -25,7 +25,7 @@ which then belongs in the key. Objects whose key cannot be stated
 rebuilt every time — :func:`cached` with ``key=None`` simply calls the
 builder.
 
-The cache is process-local. The parallel sweep runner forks workers,
+The cache is process-local. The campaign runner forks workers,
 so entries built *before* the fork are inherited by every worker for
 free; entries built after the fork stay in their worker. The on-disk
 store is shared either way (writes are atomic renames).

@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.experiments            # full sweep (a few minutes)
     python -m repro.experiments --quick    # shortened traces (~1 minute)
-    python -m repro.experiments --jobs 4   # cells sharded over 4 processes
+    python -m repro.experiments --jobs 4   # cells in 4 worker processes
     python -m repro.experiments --quick --fault-rate 0.05
                                            # same sweep on an unreliable disk
     python -m repro.experiments --quick --trace-out trace.jsonl --metrics
@@ -41,16 +41,25 @@ Observability flags (see ``repro.obs``):
   per-block churn ledger, and the exact LRU self-check — a prediction
   that misses the observed fault count fails the run.
 * ``--metrics`` prints the aggregated metrics registry as JSON;
-  worker registries merge losslessly into the printed snapshot.
+  worker registries merge losslessly into the printed snapshot. With
+  ``--jobs`` or ``--campaign`` the snapshot also holds the campaign's
+  own counters (``campaign_cells_started``, ``campaign_cells_done``,
+  and with ``--trace-out`` ``campaign_trace_cells`` and
+  ``campaign_trace_events``); every other key equals the serial one.
 * ``--metrics-out PATH`` writes that merged snapshot to a JSON file.
-* ``--progress`` prints one line per sweep cell with elapsed time/ETA.
-* ``--profile`` prints per-cell wall-clock timings as JSON.
+* ``--progress`` prints one line per sweep cell with elapsed time/ETA:
+  in sweep order serially, in completion order with ``--jobs`` or
+  ``--campaign``.
+* ``--profile`` prints per-cell wall-clock timings as JSON (serial
+  runs only; ``--cells`` picks the cells it times).
 
 Performance flags:
 
-* ``--jobs N`` shards the sweep's cells over ``N`` worker processes
-  (results are bit-identical to serial; ``--profile`` stays
-  per-process and is the one observability flag it excludes).
+* ``--jobs N`` runs the sweep as a campaign (below) with ``N``
+  supervised worker processes, journaled to a throw-away manifest in a
+  temporary directory that is removed even if the sweep raises.
+  Results and merged traces are byte-identical to serial; the profiler
+  times cells in this process only, so ``--profile`` excludes it.
 * ``--no-cache`` disables the construction cache (every graph,
   blocking, and radius is rebuilt from scratch).
 * ``--cache-dir PATH`` persists cached constructions to disk so
@@ -75,7 +84,8 @@ Campaign flags (see ``repro.experiments.campaign``):
   byte-identical to an uninterrupted serial run. Sweep shape flags
   (``--quick``, ``--fault-rate``, ``--fault-seed``, ``--cells``) are
   restored from the manifest header.
-* ``--cells A,B,...`` restricts the sweep to named cells.
+* ``--cells A,B,...`` restricts the sweep to named cells (with or
+  without a campaign).
 * ``--cell-timeout S`` arms a per-attempt wall-clock watchdog.
 * ``--max-attempts N`` caps attempts per cell (default 3).
 * ``--chaos-kill-every N`` / ``--chaos-corrupt-every N`` /
@@ -87,10 +97,14 @@ Campaign flags (see ``repro.experiments.campaign``):
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
+import tempfile
 
+from repro.errors import ReproError
 from repro.experiments.report import degraded, failures, format_checks, format_games
-from repro.experiments.table1 import run_all
+from repro.experiments.table1 import cell_specs, run_all
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -170,8 +184,9 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="run sweep cells in N worker processes (default 1 = serial; "
-        "results are identical either way)",
+        help="run sweep cells in N worker processes, as a campaign on a "
+        "throw-away journal (default 1 = serial; results are identical "
+        "either way)",
     )
     parser.add_argument(
         "--no-cache",
@@ -249,17 +264,32 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--fault-rate must be in [0, 1], got {args.fault_rate}")
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
+    if args.max_attempts is not None and args.max_attempts < 1:
+        parser.error(f"--max-attempts must be >= 1, got {args.max_attempts}")
+    if args.cell_timeout is not None and args.cell_timeout <= 0:
+        parser.error(f"--cell-timeout must be > 0, got {args.cell_timeout}")
+    for flag, value in (
+        ("--chaos-kill-every", args.chaos_kill_every),
+        ("--chaos-corrupt-every", args.chaos_corrupt_every),
+        ("--chaos-delay", args.chaos_delay),
+    ):
+        if value < 0:
+            parser.error(f"{flag} must be >= 0, got {value}")
+    cells = args.cells.split(",") if args.cells else None
+    if cells is not None:
+        try:
+            cell_specs(names=cells)
+        except ReproError as exc:
+            parser.error(f"--cells: {exc}")
     if args.campaign and args.resume:
         parser.error("--campaign and --resume are mutually exclusive")
     campaign_path = args.campaign or args.resume
+    # Campaigns, and --jobs N as a campaign on a throw-away journal, run
+    # their cells in supervised worker processes.
+    supervised = bool(campaign_path) or args.jobs > 1
     if campaign_path:
         if args.figures:
             parser.error("--figures does not run a sweep; drop --campaign/--resume")
-        if args.profile:
-            parser.error(
-                "--profile is ambient per process and campaign cells run in "
-                "supervised workers; drop --profile"
-            )
     else:
         for flag, value in (
             ("--cell-timeout", args.cell_timeout is not None),
@@ -270,13 +300,25 @@ def main(argv: list[str] | None = None) -> int:
         ):
             if value:
                 parser.error(f"{flag} requires --campaign or --resume")
-        if args.jobs > 1 and args.profile:
-            parser.error(
-                "--jobs > 1 cannot be combined with --profile: the profiler "
-                "is ambient per process (run it serially or drop --jobs)"
-            )
-        if args.cells and args.profile:
-            parser.error("--cells is not supported with --profile")
+    if args.profile and supervised:
+        parser.error(
+            "--profile times cells in this process, but --campaign, --resume "
+            "and --jobs > 1 run them in workers; drop --profile or run serially"
+        )
+    if args.resume:
+        # The manifest header pins the sweep shape; restore it so a bare
+        # `--resume PATH` continues exactly the campaign that started.
+        from repro.experiments.manifest import ManifestError, load_manifest
+
+        try:
+            meta = load_manifest(args.resume).meta
+        except ManifestError as exc:
+            parser.error(f"--resume: {exc}")
+        args.quick = bool(meta.get("quick", args.quick))
+        args.fault_rate = float(meta.get("fault_rate", args.fault_rate))
+        args.fault_seed = int(meta.get("fault_seed", args.fault_seed))
+        if meta.get("cells") is not None:
+            cells = list(meta["cells"])
     if args.forensics and not args.trace_out:
         parser.error("--forensics needs the recorded trace; add --trace-out PATH")
     if args.no_cache and args.cache_dir:
@@ -294,19 +336,6 @@ def main(argv: list[str] | None = None) -> int:
 
         print(all_figures())
         return 0
-
-    cells = args.cells.split(",") if args.cells else None
-    if args.resume:
-        # The manifest header pins the sweep shape; restore it so a bare
-        # `--resume PATH` continues exactly the campaign that started.
-        from repro.experiments.manifest import load_manifest
-
-        meta = load_manifest(args.resume).meta
-        args.quick = bool(meta.get("quick", args.quick))
-        args.fault_rate = float(meta.get("fault_rate", args.fault_rate))
-        args.fault_seed = int(meta.get("fault_seed", args.fault_seed))
-        if meta.get("cells") is not None:
-            cells = list(meta["cells"])
 
     reliability = None
     if args.fault_rate > 0:
@@ -328,17 +357,15 @@ def main(argv: list[str] | None = None) -> int:
             step_budget=1_000_000,
         )
 
-    import contextlib
-
     instr = None
     profiler = None
     progress = None
     ambient = contextlib.nullcontext()
     # The telemetry plane (worker shards merged by the parent) carries
-    # --trace-out for campaigns and multi-process pools; a live ambient
-    # sink serves the single-process paths. Metrics always aggregate
-    # into one ambient registry — worker registries merge into it.
-    spooled_trace = bool(args.trace_out) and bool(campaign_path or args.jobs > 1)
+    # --trace-out for supervised runs; a live ambient sink serves the
+    # serial path. Metrics always aggregate into one ambient registry —
+    # worker registries merge into it.
+    spooled_trace = bool(args.trace_out) and supervised
     if args.trace_out or args.metrics or args.metrics_out:
         from repro.obs import (
             Instrumentation,
@@ -367,11 +394,18 @@ def main(argv: list[str] | None = None) -> int:
 
         progress = SweepProgress()
 
-    with ambient:
-        if campaign_path:
+    with ambient, contextlib.ExitStack() as cleanup:
+        if supervised:
             from repro.experiments.campaign import run_campaign
             from repro.experiments.chaos import ChaosConfig
 
+            if not campaign_path:
+                # --jobs N alone: the throw-away journal's directory is
+                # removed on the way out, even if the sweep raises.
+                scratch = cleanup.enter_context(
+                    tempfile.TemporaryDirectory(prefix="repro-jobs-")
+                )
+                campaign_path = os.path.join(scratch, "manifest.jsonl")
             chaos = None
             if args.chaos_kill_every or args.chaos_corrupt_every or args.chaos_delay:
                 chaos = ChaosConfig(
@@ -388,7 +422,7 @@ def main(argv: list[str] | None = None) -> int:
                 reliability=reliability,
                 names=cells,
                 resume=bool(args.resume),
-                max_attempts=args.max_attempts if args.max_attempts else 3,
+                max_attempts=3 if args.max_attempts is None else args.max_attempts,
                 cell_timeout=args.cell_timeout,
                 chaos=chaos,
                 progress=progress,
@@ -400,23 +434,13 @@ def main(argv: list[str] | None = None) -> int:
                 },
                 trace_out=args.trace_out if spooled_trace else None,
             )
-        elif args.jobs > 1 or cells is not None:
-            from repro.experiments.parallel import run_all_parallel
-
-            games, checks = run_all_parallel(
-                quick=args.quick,
-                jobs=args.jobs,
-                reliability=reliability,
-                progress=progress,
-                names=cells,
-                trace_out=args.trace_out if spooled_trace else None,
-            )
         else:
             games, checks = run_all(
                 quick=args.quick,
                 reliability=reliability,
                 profiler=profiler,
                 progress=progress,
+                names=cells,
             )
     if instr is not None:
         instr.close()

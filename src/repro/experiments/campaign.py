@@ -1,9 +1,10 @@
 """The crash-safe campaign runner: supervised, journaled, resumable sweeps.
 
 :func:`run_campaign` executes the same
-:class:`~repro.experiments.table1.CellSpec` list as ``run_all`` /
-``run_all_parallel``, but treats every cell as a *supervised job*
-rather than a pool task:
+:class:`~repro.experiments.table1.CellSpec` list as the serial
+``run_all``, but treats every cell as a *supervised job*. It is the
+sweep's only multi-process runner: the CLI's ``--jobs N`` without
+``--campaign`` runs it on a manifest in a throw-away directory.
 
 * each cell attempt runs in its own forked worker process, which
   commits its results to a crash-atomic pickle spill (tempfile +
@@ -49,6 +50,7 @@ retries and degraded.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import time
@@ -68,7 +70,6 @@ from repro.experiments.manifest import (
     load_manifest,
     sweep_digest,
 )
-from repro.experiments.parallel import _pool_context
 from repro.experiments.table1 import CellSpec, cell_specs, run_cell
 from repro.obs import (
     CampaignResumeEvent,
@@ -86,6 +87,15 @@ from repro.reliability import ExponentialBackoff, ReliabilityConfig, RetryPolicy
 
 class CampaignError(ReproError):
     """A campaign-level failure the runner cannot degrade around."""
+
+
+def _pool_context() -> multiprocessing.context.BaseContext:
+    """Fork if available (cheap, inherits caches and the hash seed);
+    otherwise the platform default."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-fork platforms
+        return multiprocessing.get_context()
 
 
 # ---------------------------------------------------------------------------
@@ -421,81 +431,89 @@ def run_campaign(
         _count("campaign_worker_deaths")
         fail_attempt(job, reason)
 
-    while pending or active:
-        # Launch as many eligible cells as the job cap allows.
-        now = time.monotonic()
-        deferred: list[tuple[int, int, float]] = []
-        while pending and len(active) < jobs:
-            index, attempts_made, not_before = pending.popleft()
-            if not_before > now:
-                deferred.append((index, attempts_made, not_before))
+    try:
+        while pending or active:
+            # Launch as many eligible cells as the job cap allows.
+            now = time.monotonic()
+            deferred: list[tuple[int, int, float]] = []
+            while pending and len(active) < jobs:
+                index, attempts_made, not_before = pending.popleft()
+                if not_before > now:
+                    deferred.append((index, attempts_made, not_before))
+                    continue
+                attempt = attempts_made + 1
+                spec = specs[index]
+                result_path = workdir / f"cell-{index:03d}-a{attempt}.pkl"
+                try:
+                    os.unlink(result_path)
+                except OSError:
+                    pass
+                task = _WorkerTask(
+                    spec=spec,
+                    index=index,
+                    attempt=attempt,
+                    result_path=str(result_path),
+                    chaos=chaos,
+                    telemetry=telemetry,
+                )
+                proc = ctx.Process(target=_cell_worker, args=(task,), daemon=True)
+                proc.start()
+                writer.cell_started(index, spec.name, attempt)
+                _emit(
+                    CellStartEvent(run=index, cell=spec.name, attempt=attempt)
+                )
+                _count("campaign_cells_started")
+                deadline = now + cell_timeout if cell_timeout is not None else None
+                active.append(
+                    _Active(proc, index, spec, attempt, result_path, deadline)
+                )
+            pending.extend(deferred)
+            if not active:
+                if pending:
+                    # Everything is backing off; sleep to the earliest slot.
+                    now = time.monotonic()
+                    earliest = min(entry[2] for entry in pending)
+                    time.sleep(max(earliest - now, 0.0) + 0.001)
                 continue
-            attempt = attempts_made + 1
-            spec = specs[index]
-            result_path = workdir / f"cell-{index:03d}-a{attempt}.pkl"
-            try:
-                os.unlink(result_path)
-            except OSError:
-                pass
-            task = _WorkerTask(
-                spec=spec,
-                index=index,
-                attempt=attempt,
-                result_path=str(result_path),
-                chaos=chaos,
-                telemetry=telemetry,
-            )
-            proc = ctx.Process(target=_cell_worker, args=(task,), daemon=True)
-            proc.start()
-            writer.cell_started(index, spec.name, attempt)
-            _emit(
-                CellStartEvent(run=index, cell=spec.name, attempt=attempt)
-            )
-            _count("campaign_cells_started")
-            deadline = now + cell_timeout if cell_timeout is not None else None
-            active.append(
-                _Active(proc, index, spec, attempt, result_path, deadline)
-            )
-        pending.extend(deferred)
-        if not active:
-            if pending:
-                # Everything is backing off; sleep to the earliest slot.
-                now = time.monotonic()
-                earliest = min(entry[2] for entry in pending)
-                time.sleep(max(earliest - now, 0.0) + 0.001)
-            continue
 
-        # Block until a worker exits, a watchdog deadline passes, or a
-        # deferred retry becomes eligible.
-        now = time.monotonic()
-        horizon = 0.5
-        for job in active:
-            if job.deadline is not None:
-                horizon = min(horizon, job.deadline - now)
-        for entry in pending:
-            if entry[2] > now:
-                horizon = min(horizon, entry[2] - now)
-        _sentinel_wait(
-            [job.proc.sentinel for job in active], timeout=max(horizon, 0.0)
-        )
+            # Block until a worker exits, a watchdog deadline passes, or a
+            # deferred retry becomes eligible.
+            now = time.monotonic()
+            horizon = 0.5
+            for job in active:
+                if job.deadline is not None:
+                    horizon = min(horizon, job.deadline - now)
+            for entry in pending:
+                if entry[2] > now:
+                    horizon = min(horizon, entry[2] - now)
+            _sentinel_wait(
+                [job.proc.sentinel for job in active], timeout=max(horizon, 0.0)
+            )
 
-        now = time.monotonic()
-        still_active: list[_Active] = []
+            now = time.monotonic()
+            still_active: list[_Active] = []
+            for job in active:
+                if job.proc.exitcode is not None or not job.proc.is_alive():
+                    job.proc.join()
+                    reap(job)
+                elif job.deadline is not None and now >= job.deadline:
+                    # The per-cell watchdog: a hung worker is reaped by
+                    # force, exactly like the step-budget watchdog reaps a
+                    # runaway trace — but at the process level.
+                    job.proc.kill()
+                    job.proc.join()
+                    _count("campaign_watchdog_kills")
+                    fail_attempt(job, "timeout")
+                else:
+                    still_active.append(job)
+            active = still_active
+    finally:
+        # A sweep that raises (an exhausted check cell, an interrupt)
+        # takes its in-flight workers down with it, so none outlives
+        # the call writing into the workdir.
         for job in active:
-            if job.proc.exitcode is not None or not job.proc.is_alive():
-                job.proc.join()
-                reap(job)
-            elif job.deadline is not None and now >= job.deadline:
-                # The per-cell watchdog: a hung worker is reaped by
-                # force, exactly like the step-budget watchdog reaps a
-                # runaway trace — but at the process level.
-                job.proc.kill()
-                job.proc.join()
-                _count("campaign_watchdog_kills")
-                fail_attempt(job, "timeout")
-            else:
-                still_active.append(job)
-        active = still_active
+            job.proc.kill()
+            job.proc.join()
 
     if telemetry:
         refs = [

@@ -18,8 +18,8 @@ shipped to every worker:
 
 Every decision is a pure function of ``(seed, cell index, attempt)`` —
 no global RNG, no wall clock — so a chaos campaign is reproducible and
-its injected failures land on the same cells in serial and parallel
-runs. By default each misbehavior fires only on attempt 1
+its injected failures land on the same cells at any ``jobs``
+count. By default each misbehavior fires only on attempt 1
 (``attempts=1``), so retried cells succeed and the campaign's merged
 output stays byte-identical to an undisturbed run; raise ``attempts``
 to exhaust the retry budget and exercise degradation instead.

@@ -150,7 +150,11 @@ class CellState:
 
 @dataclass
 class Manifest:
-    """A parsed campaign journal: header plus folded per-cell states."""
+    """A parsed campaign journal: header plus folded per-cell states.
+
+    ``lines`` keeps the journal's decoded lines verbatim (a torn final
+    line excluded), so a resumed writer continues the same bytes.
+    """
 
     path: Path
     campaign_id: str
@@ -159,7 +163,11 @@ class Manifest:
     kinds: list[str]
     meta: dict[str, Any] = field(default_factory=dict)
     cells: dict[int, CellState] = field(default_factory=dict)
-    records: int = 0
+    lines: list[str] = field(default_factory=list)
+
+    @property
+    def records(self) -> int:
+        return len(self.lines)
 
     def cell(self, index: int) -> CellState:
         state = self.cells.get(index)
@@ -208,6 +216,7 @@ def load_manifest(path: str | Path) -> Manifest:
     except OSError as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
     lines = raw.splitlines()
+    kept: list[str] = []
     records: list[dict] = []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
@@ -221,6 +230,7 @@ def load_manifest(path: str | Path) -> Manifest:
             raise ManifestError(
                 f"manifest {path} is corrupt at line {lineno}: {exc}"
             ) from exc
+        kept.append(line)
         records.append(record)
     if not records:
         raise ManifestError(f"manifest {path} is empty")
@@ -242,7 +252,7 @@ def load_manifest(path: str | Path) -> Manifest:
         names=[c["name"] for c in cells],
         kinds=[c["kind"] for c in cells],
         meta=dict(header.get("meta", {})),
-        records=len(records),
+        lines=kept,
     )
     for record in records[1:]:
         if record.get("record") != "cell":
@@ -306,20 +316,10 @@ class ManifestWriter:
 
     @classmethod
     def resume(cls, manifest: Manifest) -> "ManifestWriter":
-        """Continue journaling an existing manifest in place."""
+        """Continue journaling an existing manifest in place, from the
+        lines :func:`load_manifest` decoded (a torn tail is dropped)."""
         writer = cls(manifest.path)
-        raw = manifest.path.read_text(encoding="utf-8")
-        lines = []
-        for line in raw.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                json.loads(line)
-            except json.JSONDecodeError:
-                continue  # drop a torn trailing append
-            lines.append(line)
-        writer._lines = lines
+        writer._lines = list(manifest.lines)
         return writer
 
     def append(self, record: Mapping[str, Any]) -> None:

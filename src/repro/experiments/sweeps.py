@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.experiments.harness import ExperimentResult
-from repro.experiments.parallel import map_rows
 from repro.experiments.table1 import (
     grid1d_row,
     grid2d_rows,
@@ -67,23 +66,15 @@ def tree_sigma_vs_lgB(
     block_sizes: Sequence[int] = (63, 255, 1023, 4095),
     arity: int = 2,
     num_steps: int = 6_000,
-    jobs: int = 1,
 ) -> SweepSeries:
-    """sigma of the Lemma 17 blocking vs lg B — the tree law.
-
-    ``jobs > 1`` shards the grid points over worker processes; the
-    series is identical to the serial one (see
-    :func:`repro.experiments.parallel.map_rows`).
-    """
+    """sigma of the Lemma 17 blocking vs lg B — the tree law."""
     series = SweepSeries("tree Lemma 17 blocking", "lg B")
-    grid = []
     for B in block_sizes:
         levels = int(math.log2(B + 1))
         height = max(30 * levels, 120)  # tall enough for Theorem 7's bound
-        grid.append(
-            dict(block_size=B, arity=arity, height=height, num_steps=num_steps)
+        rows = tree_row(
+            block_size=B, arity=arity, height=height, num_steps=num_steps
         )
-    for B, rows in zip(block_sizes, map_rows(tree_row, grid, jobs=jobs)):
         series.append(math.log2(B), rows[0])
     return series
 
@@ -92,27 +83,19 @@ def grid_sigma_vs_B(
     dim: int,
     block_sizes: Sequence[int] = (16, 64, 256),
     num_steps: int = 8_000,
-    jobs: int = 1,
 ) -> SweepSeries:
     """sigma of the s=2 offset blocking vs B^(1/d) — the grid law."""
     series = SweepSeries(f"{dim}-D grid offset s=2 blocking", "B^(1/d)")
-    if dim == 1:
-        func, pick = grid1d_row, lambda rows: next(
-            r for r in rows if r.params["s"] == 1
-        )
-        grid = [dict(block_size=B, num_steps=num_steps) for B in block_sizes]
-    elif dim == 2:
-        func, pick = grid2d_rows, lambda rows: next(
-            r for r in rows if r.params["s"] == 2
-        )
-        grid = [dict(block_size=B, num_steps=num_steps) for B in block_sizes]
-    else:
-        func, pick = gridd_rows, lambda rows: rows[0]
-        grid = [
-            dict(dim=dim, block_size=B, num_steps=num_steps) for B in block_sizes
-        ]
-    for B, rows in zip(block_sizes, map_rows(func, grid, jobs=jobs)):
-        series.append(B ** (1.0 / dim), pick(rows))
+    for B in block_sizes:
+        if dim == 1:
+            rows = grid1d_row(block_size=B, num_steps=num_steps)
+            row = next(r for r in rows if r.params["s"] == 1)
+        elif dim == 2:
+            rows = grid2d_rows(block_size=B, num_steps=num_steps)
+            row = next(r for r in rows if r.params["s"] == 2)
+        else:
+            row = gridd_rows(dim=dim, block_size=B, num_steps=num_steps)[0]
+        series.append(B ** (1.0 / dim), row)
     return series
 
 
@@ -142,12 +125,7 @@ def _failure_rate_cell(
     seed: int,
     retry_attempts: int,
 ) -> ExperimentResult:
-    """One (blow-up, failure-rate) point of the reliability sweep.
-
-    Module-level — and rebuilding every construction from its
-    parameters — so :func:`repro.experiments.parallel.map_rows` can
-    ship it to a worker process.
-    """
+    """One (blow-up, failure-rate) point of the reliability sweep."""
     from repro.adversaries import RandomWalkAdversary
     from repro.blockings import (
         FarthestFaultPolicy,
@@ -203,7 +181,6 @@ def sigma_vs_failure_rate(
     num_steps: int = 4_000,
     seed: int = 17,
     retry_attempts: int = 3,
-    jobs: int = 1,
 ) -> dict[int, SweepSeries]:
     """The reliability axis the paper never measured: blocking speed-up
     under an unreliable disk, per storage blow-up.
@@ -216,32 +193,20 @@ def sigma_vs_failure_rate(
     degraded cell, ``sigma = nan``), while ``s >= 2`` keeps searching
     from the surviving copies — redundancy bought by the blow-up.
 
-    Returns one series per ``s``, indexed by failure rate. ``jobs > 1``
-    shards the (s, rate) grid over worker processes; every cell is
-    seeded independently, so the series are identical to a serial run.
+    Returns one series per ``s``, indexed by failure rate.
     """
-    grid = [
-        dict(
-            s=s,
-            rate=rate,
-            block_size=block_size,
-            num_steps=num_steps,
-            seed=seed,
-            retry_attempts=retry_attempts,
-        )
-        for s in s_values
-        for rate in rates
-    ]
-    results = map_rows(_failure_rate_cell, grid, jobs=jobs)
     out: dict[int, SweepSeries] = {}
-    index = 0
     for s in s_values:
         series = SweepSeries(
             f"2-D grid s={s} blocking vs failure rate", "failure rate"
         )
         for rate in rates:
-            series.append(rate, results[index])
-            index += 1
+            series.append(
+                rate,
+                _failure_rate_cell(
+                    s, rate, block_size, num_steps, seed, retry_attempts
+                ),
+            )
         out[s] = series
     return out
 

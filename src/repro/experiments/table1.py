@@ -908,7 +908,7 @@ def ballcover_checks(seed: int = 11) -> list[CheckResult]:
 
 # The named cells of the sweep, in report order. Registries of plain
 # module-level functions (not lambdas) keep every cell *picklable*, so
-# the parallel runner (repro.experiments.parallel) can ship the same
+# the campaign runner (repro.experiments.campaign) can ship the same
 # cells to worker processes that run_all executes inline.
 _GAME_CELL_FUNCS: dict[str, Callable[..., list[ExperimentResult]]] = {
     "tree": tree_row,
@@ -964,7 +964,7 @@ def cell_specs(
     reliability: ReliabilityConfig | None = None,
     names: Sequence[str] | None = None,
 ) -> list[CellSpec]:
-    """The sweep's cells in report order (the serial and parallel
+    """The sweep's cells in report order (the serial and campaign
     runners both execute exactly this list).
 
     ``names`` restricts to a subset of cells, preserving order —
@@ -998,12 +998,12 @@ def cell_specs(
 
 def run_cell(spec: CellSpec) -> list[ExperimentResult] | list[CheckResult]:
     """Execute one cell. This is the single execution path shared by
-    the serial sweep and the parallel runner's workers.
+    the serial sweep and the campaign runner's workers.
 
     A :class:`ReproError` escaping a *game* cell (e.g. a construction
     that cannot survive the configured fault injection) degrades into a
     single errored :class:`ExperimentResult` instead of killing the
-    sweep — sibling cells are unaffected, and serial and parallel runs
+    sweep — sibling cells are unaffected, and serial and campaign runs
     degrade identically. Check cells have no error column, so their
     failures propagate in both.
     """
@@ -1032,11 +1032,14 @@ def run_all(
     reliability: ReliabilityConfig | None = None,
     profiler: "PhaseProfiler | None" = None,
     progress: "Callable[[int, int, str], None] | None" = None,
+    names: Sequence[str] | None = None,
 ) -> tuple[list[ExperimentResult], list[CheckResult]]:
     """Run the whole Table 1 sweep. ``quick`` shrinks the traces for
     smoke runs (used by tests). ``reliability`` runs every game against
     the configured unreliable disk; per-run failures become degraded
     cells (``ExperimentResult.error``) and the sweep still completes.
+    ``names`` restricts the sweep to those cells, as
+    :func:`cell_specs` takes them.
 
     ``profiler`` times each named cell under the phase
     ``table1.<cell>`` (see :class:`repro.obs.PhaseProfiler`).
@@ -1044,10 +1047,11 @@ def run_all(
     every cell — :class:`repro.obs.SweepProgress` prints these with
     elapsed time and an ETA.
 
-    For multi-process execution of the same cells see
-    :func:`repro.experiments.parallel.run_all_parallel`.
+    This is the serial reference: ``--jobs N`` runs the same cells in
+    worker processes through
+    :func:`repro.experiments.campaign.run_campaign`.
     """
-    specs = cell_specs(quick=quick, reliability=reliability)
+    specs = cell_specs(quick=quick, reliability=reliability, names=names)
     total = len(specs)
     games: list[ExperimentResult] = []
     checks: list[CheckResult] = []

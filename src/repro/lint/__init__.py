@@ -3,11 +3,11 @@
 The paper's bounds are only reproducible when every run is
 bit-deterministic, and determinism here is a stack of *conventions*:
 RNGs are seeded and threaded, the core never reads the wall clock,
-iteration never leaks hash order into results, everything the parallel
+iteration never leaks hash order into results, everything the campaign
 runner ships across a process boundary is frozen picklable data, trace
 events round-trip through the JSONL wire form, errors are never
 silently swallowed, and the public surface is fully typed. Replay
-``--check`` and the serial-vs-parallel byte-identity CI job *assume*
+``--check`` and the serial-vs-``--jobs`` byte-identity CI job *assume*
 all of that; this package is the tool that enforces it.
 
 Architecture (one file each, ~flake8-plugin shaped but self-contained):

@@ -2,7 +2,7 @@
 
 The defaults encode this repository's layout (``src/repro`` is the
 linted tree, ``obs``/``benchmarks`` may read the clock, ``CellSpec``
-is the parallel runner's wire format). Everything is overridable from
+is the campaign runner's wire format). Everything is overridable from
 ``pyproject.toml`` so the fixture mini-trees under ``tests/`` can run
 the same engine against a different root with different scoping.
 """

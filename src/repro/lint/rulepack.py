@@ -298,7 +298,7 @@ class UnorderedIterationRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# RL004 — parallel-runner specs are frozen picklable data
+# RL004 — cell specs are frozen picklable data
 # ---------------------------------------------------------------------------
 
 _PICKLABLE_NAMES = frozenset(
@@ -354,11 +354,12 @@ def _dataclass_decoration(node: ast.ClassDef) -> tuple[bool, bool]:
 class PicklableSpecRule(Rule):
     """RL004: process-boundary specs are frozen, picklable dataclasses.
 
-    ``run_all_parallel`` ships :class:`CellSpec`s to forked workers and
-    promises the merged output is byte-identical to a serial run. That
-    only holds if a spec (a) cannot be mutated after construction and
-    (b) consists of data that pickles to the same cell on the far side
-    — no lambdas, no open handles, no live graphs. The rule statically
+    The campaign runner (``--jobs N`` included) ships :class:`CellSpec`s
+    to forked workers and promises the merged output is byte-identical
+    to a serial run. That only holds if a spec (a) cannot be mutated
+    after construction and (b) consists of data that pickles to the
+    same cell on the far side — no lambdas, no open handles, no live
+    graphs. The rule statically
     checks the dataclass is ``frozen=True`` and every field annotation
     stays within the picklable whitelist (configurable extras, e.g.
     ``ReliabilityConfig``).

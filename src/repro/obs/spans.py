@@ -1,8 +1,8 @@
 """Trace spans: per-worker telemetry shards and deterministic merging.
 
-PR 3 gave a *single process* typed traces and metrics; campaigns and
-``--jobs`` pools run their cells in worker processes, where ambient
-hooks cannot reach. The telemetry plane closes that gap with a
+PR 3 gave a *single process* typed traces and metrics; campaigns
+(``--jobs N`` included) run their cells in worker processes, where
+ambient hooks cannot reach. The telemetry plane closes that gap with a
 spool-and-merge design, mirroring how external-memory algorithms
 themselves aggregate per-run I/O counters:
 

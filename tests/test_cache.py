@@ -199,7 +199,7 @@ class TestAtomicWrites:
         file is always one of the two complete pickles."""
         import pickle
 
-        from repro.experiments.parallel import _pool_context
+        from repro.experiments.campaign import _pool_context
 
         ctx = _pool_context()
         for round_id in range(3):

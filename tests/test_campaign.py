@@ -1,8 +1,8 @@
 """Crash-safe campaign runner: manifest journaling, resume, supervised
 workers, watchdogs, chaos recovery, and byte-identity with serial runs.
 
-The equality checks run on the same small ``SUBSET`` the parallel tests
-use; the CI chaos job does the interrupted-vs-serial byte comparison on
+The equality checks run on the same small ``SUBSET`` as
+``tests/test_parallel.py``; the CI chaos job does the interrupted-vs-serial byte comparison on
 a larger sweep through the real CLI.
 """
 
@@ -27,7 +27,7 @@ from repro.experiments import (
     corrupt_file,
     dump_results,
     load_manifest,
-    run_all_parallel,
+    run_all,
     run_campaign,
     spec_fingerprint,
 )
@@ -49,7 +49,7 @@ def _dump_bytes(tmp_path, tag, games, checks):
 
 
 def _serial_bytes(tmp_path, names=SUBSET):
-    games, checks = run_all_parallel(quick=True, jobs=1, names=names)
+    games, checks = run_all(quick=True, names=names)
     return _dump_bytes(tmp_path, "serial", games, checks)
 
 
@@ -96,15 +96,28 @@ class TestManifest:
         path = tmp_path / "m.jsonl"
         writer = ManifestWriter.create(path, specs)
         writer.cell_started(0, "grid1d", 1)
+        before_tear = path.read_bytes()
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"record": "cell", "index": 1, "sta')  # torn append
         manifest = load_manifest(path)
         assert manifest.cell(0).status == "started"
         assert manifest.cell(1).status == "pending"
-        # Resuming the writer drops the torn tail and keeps journaling.
+        # Resuming the writer drops the torn tail and keeps journaling:
+        # the pre-tear lines byte for byte, then the new record.
         resumed = ManifestWriter.resume(manifest)
         resumed.cell_started(1, "pathological", 1)
         assert load_manifest(path).cell(1).status == "started"
+        new_record = json.dumps(
+            {
+                "attempt": 1,
+                "index": 1,
+                "name": "pathological",
+                "record": "cell",
+                "status": "started",
+            },
+            sort_keys=True,
+        )
+        assert path.read_bytes() == before_tear + new_record.encode() + b"\n"
 
     def test_corruption_before_the_tail_raises(self, tmp_path):
         specs = cell_specs(quick=True, names=SUBSET)
@@ -125,7 +138,7 @@ class TestManifest:
             manifest.verify_specs(cell_specs(quick=False, names=SUBSET))
 
     def test_done_cells_reload_their_results(self, tmp_path):
-        games, checks = run_all_parallel(quick=True, jobs=1, names=["grid1d"])
+        games, checks = run_all(quick=True, names=["grid1d"])
         specs = cell_specs(quick=True, names=["grid1d"])
         path = tmp_path / "m.jsonl"
         writer = ManifestWriter.create(path, specs)
@@ -364,7 +377,7 @@ class TestAtomicDump:
     def test_round_trip(self, tmp_path):
         from repro.experiments import load_results
 
-        games, checks = run_all_parallel(quick=True, jobs=1, names=SUBSET)
+        games, checks = run_all(quick=True, names=SUBSET)
         path = tmp_path / "out.json"
         dump_results(str(path), games, checks)
         games2, checks2 = load_results(str(path))
@@ -377,7 +390,7 @@ class TestAtomicDump:
         from repro.experiments import load_results
 
         path = tmp_path / "out.json"
-        games, checks = run_all_parallel(quick=True, jobs=1, names=["example2"])
+        games, checks = run_all(quick=True, names=["example2"])
         dump_results(str(path), games, checks)
         before = path.read_bytes()
         # A subprocess re-dumps to the same path but SIGKILLs itself at

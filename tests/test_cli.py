@@ -1,11 +1,16 @@
 """The `python -m repro.experiments` entry point."""
 
 import io
+import json
+import tempfile
 from contextlib import redirect_stdout
 
 import pytest
 
+from repro.errors import ReproError
+from repro.experiments import table1
 from repro.experiments.__main__ import main
+from repro.experiments.campaign import CampaignError
 
 
 class TestCli:
@@ -99,6 +104,132 @@ class TestCli:
         assert "--quick" in out
         assert "--trace-out" in out
         assert "--metrics" in out
+
+
+class TestFlagValues:
+    """A bad flag value ends as one usage error and exit 2: never a
+    traceback, never a silently substituted value, and no work done."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            pytest.param(
+                ["--campaign", "m.jsonl", "--max-attempts", "0"],
+                "--max-attempts",
+                id="max-attempts-0",
+            ),
+            pytest.param(
+                ["--campaign", "m.jsonl", "--cell-timeout", "0"],
+                "--cell-timeout",
+                id="cell-timeout-0",
+            ),
+            pytest.param(
+                ["--campaign", "m.jsonl", "--cell-timeout", "-1"],
+                "--cell-timeout",
+                id="cell-timeout-negative",
+            ),
+            pytest.param(
+                ["--campaign", "m.jsonl", "--chaos-kill-every", "-2"],
+                "--chaos-kill-every",
+                id="chaos-kill-every-negative",
+            ),
+            pytest.param(
+                ["--campaign", "m.jsonl", "--chaos-corrupt-every", "-1"],
+                "--chaos-corrupt-every",
+                id="chaos-corrupt-every-negative",
+            ),
+            pytest.param(
+                ["--campaign", "m.jsonl", "--chaos-delay", "-1"],
+                "--chaos-delay",
+                id="chaos-delay-negative",
+            ),
+            pytest.param(["--cells", "nosuch"], "--cells", id="cells-unknown"),
+            pytest.param(
+                ["--resume", "missing.jsonl"], "--resume", id="resume-missing"
+            ),
+        ],
+    )
+    def test_bad_value_is_a_usage_error(
+        self, argv, flag, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--quick", "--cells", "example2", *argv])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"error: {flag}" in err.splitlines()[-1]
+        assert not (tmp_path / "m.jsonl").exists()
+
+
+class TestOneCellRunner:
+    """``--cells`` runs serially (so ``--profile`` can time it) and
+    ``--jobs N`` runs a campaign on a throw-away journal."""
+
+    def test_cells_with_profile_times_exactly_those_cells(self, capsys):
+        code = main(["--quick", "--cells", "grid1d,example2", "--profile"])
+        out = capsys.readouterr().out
+        assert code == 0
+        timings = json.loads(
+            out.split("== Phase timings ==")[1].split("== Table 1")[0]
+        )
+        assert [phase["phase"] for phase in timings["phases"]] == [
+            "table1.grid1d",
+            "table1.example2",
+        ]
+
+    @pytest.fixture
+    def tempdir(self, tmp_path, monkeypatch):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        return scratch
+
+    def test_jobs_leaves_nothing_in_the_temp_directory(self, tempdir, capsys):
+        code = main(["--quick", "--jobs", "2", "--cells", "grid1d,example2"])
+        capsys.readouterr()
+        assert code == 0
+        assert list(tempdir.iterdir()) == []
+
+    def test_jobs_cleans_up_when_the_sweep_raises(
+        self, tempdir, monkeypatch, capsys
+    ):
+        def broken(**kwargs):
+            raise ReproError("broken check cell")
+
+        # Forked workers inherit the patched registry: every attempt of
+        # the check cell crashes, and the exhausted cell raises.
+        monkeypatch.setitem(table1._CHECK_CELL_FUNCS, "example2", broken)
+        with pytest.raises(CampaignError, match="example2"):
+            main(["--quick", "--jobs", "2", "--cells", "grid1d,example2"])
+        capsys.readouterr()
+        assert list(tempdir.iterdir()) == []
+
+    def test_jobs_metrics_are_serial_plus_campaign_counters(
+        self, tmp_path, capsys
+    ):
+        cells = "grid1d,pathological,example2"
+        serial_path = tmp_path / "serial.json"
+        jobs_path = tmp_path / "jobs.json"
+        assert main(
+            ["--quick", "--cells", cells, "--metrics-out", str(serial_path)]
+        ) == 0
+        assert main(
+            ["--quick", "--cells", cells, "--jobs", "2",
+             "--metrics-out", str(jobs_path)]
+        ) == 0
+        capsys.readouterr()
+        serial = json.loads(serial_path.read_text())
+        jobs = json.loads(jobs_path.read_text())
+        extra = {name: jobs.pop(name) for name in set(jobs) - set(serial)}
+        assert extra == {"campaign_cells_started": 3, "campaign_cells_done": 3}
+        assert jobs == serial
+
+    def test_figures_with_jobs_still_prints_the_figures(self, capsys):
+        assert main(["--figures", "--jobs", "2"]) == 0
+        out = capsys.readouterr().out
+        for figure in ("Figure 4", "Figure 6", "Figure 7"):
+            assert figure in out
 
 
 class TestResultsIo:

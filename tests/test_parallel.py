@@ -1,5 +1,6 @@
-"""Parallel sweep runner: spec plumbing, serial/parallel equality, and
-error degradation across process boundaries.
+"""Cell specs and the two sweep runners: serial ``run_all`` and the
+multi-process ``run_campaign`` (what ``--jobs N`` runs) give equal
+results and degrade identically across process boundaries.
 
 The heavyweight equality checks run on a small subset of cells
 (``SUBSET``) so the suite stays fast; the CI benchmark job does the
@@ -12,14 +13,11 @@ import pytest
 
 from repro.errors import ReproError
 from repro.experiments import (
-    CellSpec,
     cell_specs,
-    default_jobs,
     dump_results,
-    map_rows,
-    run_all_parallel,
+    run_all,
+    run_campaign,
     run_cell,
-    tree_row,
 )
 from repro.reliability import (
     ExponentialBackoff,
@@ -66,26 +64,14 @@ def _dump_bytes(tmp_path, tag, games, checks):
 
 
 class TestRunAllParallel:
-    def test_jobs_must_be_positive(self):
-        with pytest.raises(ReproError, match="jobs"):
-            run_all_parallel(quick=True, jobs=0)
-
     def test_parallel_matches_serial_on_subset(self, tmp_path):
-        serial = run_all_parallel(quick=True, jobs=1, names=SUBSET)
-        parallel = run_all_parallel(quick=True, jobs=2, names=SUBSET)
+        serial = run_all(quick=True, names=SUBSET)
+        parallel = run_campaign(
+            tmp_path / "m.jsonl", quick=True, jobs=2, names=SUBSET
+        )
         assert _dump_bytes(tmp_path, "serial", *serial) == _dump_bytes(
             tmp_path, "parallel", *parallel
         )
-
-    def test_progress_reports_in_spec_order(self):
-        seen = []
-        run_all_parallel(
-            quick=True,
-            jobs=2,
-            names=SUBSET,
-            progress=lambda done, total, name: seen.append((done, total, name)),
-        )
-        assert seen == [(1, 3, "grid1d"), (2, 3, "pathological"), (3, 3, "example2")]
 
 
 class TestErrorDegradation:
@@ -104,12 +90,16 @@ class TestErrorDegradation:
             step_budget=100_000,
         )
 
-    def test_parallel_degrades_like_serial(self, lossy):
-        serial_games, serial_checks = run_all_parallel(
-            quick=True, jobs=1, names=SUBSET, reliability=lossy
+    def test_parallel_degrades_like_serial(self, lossy, tmp_path):
+        serial_games, serial_checks = run_all(
+            quick=True, names=SUBSET, reliability=lossy
         )
-        par_games, par_checks = run_all_parallel(
-            quick=True, jobs=2, names=SUBSET, reliability=lossy
+        par_games, par_checks = run_campaign(
+            tmp_path / "m.jsonl",
+            quick=True,
+            jobs=2,
+            names=SUBSET,
+            reliability=lossy,
         )
         assert [g.error for g in serial_games] == [g.error for g in par_games]
         assert all(g.error for g in serial_games)
@@ -125,41 +115,3 @@ class TestErrorDegradation:
         for result in results:
             assert result.error
             assert result.error.split(":")[0].endswith("Error")
-
-
-class TestDefaultJobs:
-    def test_respects_affinity_mask(self):
-        import os
-
-        jobs = default_jobs()
-        assert jobs >= 1
-        if hasattr(os, "sched_getaffinity"):
-            # On Linux the default honors cgroup/affinity limits, which
-            # can be far below os.cpu_count() in containers.
-            assert jobs == len(os.sched_getaffinity(0))
-
-    def test_falls_back_to_cpu_count(self, monkeypatch):
-        import os
-
-        def unavailable(pid):
-            raise OSError("no affinity on this platform")
-
-        monkeypatch.setattr(os, "sched_getaffinity", unavailable, raising=False)
-        assert default_jobs() == (os.cpu_count() or 1)
-
-
-class TestMapRows:
-    def test_jobs_must_be_positive(self):
-        with pytest.raises(ReproError, match="jobs"):
-            map_rows(tree_row, [], jobs=0)
-
-    def test_parallel_map_matches_serial(self):
-        grid = [
-            dict(block_size=63, arity=2, height=120, num_steps=500),
-            dict(block_size=255, arity=2, height=160, num_steps=500),
-        ]
-        serial = map_rows(tree_row, grid, jobs=1)
-        parallel = map_rows(tree_row, grid, jobs=2)
-        for srows, prows in zip(serial, parallel):
-            for s, p in zip(srows, prows):
-                assert (s.sigma, s.faults, s.steps) == (p.sigma, p.faults, p.steps)

@@ -6,7 +6,7 @@ Three layers under test:
   shard with a footer and a lossless metrics wire file; the parent's
   merge renumbers run ids onto one global sequence and is a pure
   function of the committed shards;
-* **campaign/pool wiring** — a chaos-killed campaign's merged trace
+* **campaign wiring** — a chaos-killed campaign's merged trace
   passes ``replay --check``, is byte-identical across same-seed
   re-runs and ``--jobs`` counts, and carries exactly the engine events
   an undisturbed run produces (the committed attempt of a retried cell
@@ -26,7 +26,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import ChaosConfig, run_all_parallel, run_campaign
+from repro.experiments import ChaosConfig, run_campaign
+from repro.experiments.__main__ import main as experiments_main
 from repro.obs import (
     Instrumentation,
     MetricsRegistry,
@@ -217,7 +218,7 @@ class TestMergeShards:
         ) == 0
 
 
-# -- campaign and pool wiring -------------------------------------------
+# -- campaign wiring ----------------------------------------------------
 
 
 class TestCampaignTelemetry:
@@ -284,21 +285,38 @@ class TestCampaignTelemetry:
         # The drop counter only materializes when something dropped.
         assert snap.get("campaign_trace_events_dropped", 0) == 0
 
-    def test_pool_trace_matches_campaign_trace(self, tmp_path):
-        campaign, _, _ = self._campaign(tmp_path, "c", jobs=1)
-        pool = tmp_path / "pool.trace.jsonl"
-        run_all_parallel(quick=True, jobs=2, names=SUBSET, trace_out=pool)
-        assert _engine_events(pool) == _engine_events(campaign)
+    def _cli_jobs_trace(self, tmp_path, names, capsys):
+        """``--jobs 2 --trace-out`` through the CLI: a campaign on a
+        throw-away journal."""
+        trace = tmp_path / "cli.trace.jsonl"
+        code = experiments_main(
+            ["--quick", "--jobs", "2", "--cells", ",".join(names),
+             "--trace-out", str(trace)]
+        )
+        capsys.readouterr()
+        assert code == 0
+        return trace
 
-    def test_inline_pool_also_spools(self, tmp_path):
-        """``trace_out`` works even when the pool degenerates to the
-        inline path (jobs=1): same spool-and-merge, same bytes."""
-        inline = tmp_path / "inline.trace.jsonl"
-        pooled = tmp_path / "pooled.trace.jsonl"
-        run_all_parallel(quick=True, jobs=1, names=GAMES_ONLY, trace_out=inline)
-        run_all_parallel(quick=True, jobs=2, names=GAMES_ONLY, trace_out=pooled)
-        assert inline.read_bytes() == pooled.read_bytes()
-        assert replay_main([str(inline), "--check"]) == 0
+    def test_pool_trace_matches_campaign_trace(self, tmp_path, capsys):
+        campaign, _, _ = self._campaign(tmp_path, "c", jobs=1)
+        cli = self._cli_jobs_trace(tmp_path, SUBSET, capsys)
+        assert cli.read_bytes() == campaign.read_bytes()
+        assert replay_main([str(cli), "--check"]) == 0
+
+    def test_inline_pool_also_spools(self, tmp_path, capsys):
+        """A one-worker campaign and ``--jobs 2`` spool and merge the
+        same shards into the same bytes."""
+        trace = tmp_path / "inline.trace.jsonl"
+        run_campaign(
+            tmp_path / "inline.manifest.jsonl",
+            quick=True,
+            jobs=1,
+            names=GAMES_ONLY,
+            trace_out=trace,
+        )
+        cli = self._cli_jobs_trace(tmp_path, GAMES_ONLY, capsys)
+        assert cli.read_bytes() == trace.read_bytes()
+        assert replay_main([str(cli), "--check"]) == 0
 
 
 # -- the continuous-bench sentinel --------------------------------------
