@@ -39,6 +39,19 @@ def test_throughput_s1_random_walk(benchmark):
     assert trace.steps == 5_000
 
 
+def test_throughput_s1_random_walk_validated(benchmark):
+    """The same walk with ``Searcher``'s default move validation: each
+    step also pays one ``has_edge`` check, the path perfbench's ``walk``
+    workload runs."""
+    graph = InfiniteGridGraph(2)
+    searcher = Searcher(
+        graph, uniform_grid_blocking(2, 64), FirstBlockPolicy(), ModelParams(64, 256)
+    )
+    adversary = RandomWalkAdversary(graph, (0, 0), seed=1)
+    trace = benchmark(searcher.run_adversary, adversary, 5_000)
+    assert trace.steps == 5_000
+
+
 def test_throughput_s1_random_walk_traced(benchmark, tmp_path):
     """The same walk under a JSONL-writing hook: its time over the plain
     walk's is the instrumented/uninstrumented ratio."""

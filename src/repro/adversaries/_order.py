@@ -19,11 +19,17 @@ from repro.typing import Vertex
 def canonical_neighbors(graph: Graph, vertex: Vertex) -> list[Vertex]:
     """Neighbors of ``vertex`` in a hash-seed-independent order.
 
-    Ordered sequences pass through untouched; unordered collections
-    (``set``/``frozenset``) are sorted by ``repr``, which is total over
-    the mixed int/str/tuple vertex types this repository uses.
+    A ``list`` is returned as is, not copied (the grids and trees build
+    a fresh one per call, and a random walk asks once per step), so
+    callers read the result and never mutate it. Other ordered
+    sequences are copied to a list in their order; unordered
+    collections (``set``/``frozenset``) are sorted by ``repr``, which is
+    total over the mixed int/str/tuple vertex types this repository
+    uses.
     """
     neighbors = graph.neighbors(vertex)
+    if isinstance(neighbors, list):
+        return neighbors
     if isinstance(neighbors, (set, frozenset)):
         return sorted(neighbors, key=repr)
     return list(neighbors)

@@ -13,6 +13,8 @@ directly for any blocking exposing ``interior_distance(block_id, v)``
 
 from __future__ import annotations
 
+from collections import deque
+
 from repro.blockings.union import UnionBlocking
 from repro.core.blocking import Blocking
 from repro.core.memory import Memory, WeakMemory
@@ -152,15 +154,15 @@ class FarthestFaultPolicy(BlockChoicePolicy):
         (a cap only matters for ranking ties). ``covered`` is probed
         first: it is a plain set, while an unbuilt tile answers by
         arithmetic."""
-        from collections import deque
-
+        neighbors = self._graph.neighbors
+        max_radius = self._max_radius
         seen = {vertex}
         queue = deque([(vertex, 0)])
         while queue:
             u, du = queue.popleft()
-            if self._max_radius is not None and du >= self._max_radius:
+            if max_radius is not None and du >= max_radius:
                 return du
-            for v in self._graph.neighbors(u):
+            for v in neighbors(u):
                 if v in seen:
                     continue
                 seen.add(v)

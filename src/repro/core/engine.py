@@ -260,20 +260,26 @@ class Searcher:
         instr: "InstrumentationHook | None" = None,
     ) -> SearchTrace:
         steps_since_fault = 0
-        previous: Vertex | None = None
+        # A flag marks the start: ``None`` is a legal vertex (an
+        # AdjacencyGraph takes any hashable), so ``previous`` cannot.
+        first = True
         visit = memory.visit
+        has_edge = self.graph.has_edge
         validate = self.validate_moves
         budgeted = self._step_budget is not None
         holders = self._holder_query(memory, instr)
         for vertex in path:
-            if previous is None:
+            if first:
                 if not self.graph.has_vertex(vertex):
                     raise GraphError(
                         f"path start vertex {vertex!r} is not in the graph"
                     )
+                first = False
             else:
-                if validate:
-                    self._check_move(previous, vertex)
+                if validate and (vertex == previous or not has_edge(previous, vertex)):
+                    raise AdversaryError(
+                        f"illegal move: {previous!r} -> {vertex!r} is not an edge"
+                    )
                 trace.steps += 1
                 steps_since_fault += 1
                 if instr is not None:
@@ -309,13 +315,16 @@ class Searcher:
         steps_since_fault = self._visit(pathfront, memory, trace, 0)
         step = adversary.step
         visit = memory.visit
+        has_edge = self.graph.has_edge
         validate = self.validate_moves
         budgeted = self._step_budget is not None
         holders = self._holder_query(memory, instr)
         for _ in range(num_steps):
             nxt = step(pathfront, view)
-            if validate:
-                self._check_move(pathfront, nxt)
+            if validate and (nxt == pathfront or not has_edge(pathfront, nxt)):
+                raise AdversaryError(
+                    f"illegal move: {pathfront!r} -> {nxt!r} is not an edge"
+                )
             trace.steps += 1
             steps_since_fault += 1
             if instr is not None:
@@ -451,12 +460,6 @@ class Searcher:
                 f"{trace.read_attempts} read attempts)",
                 trace=trace,
             )
-
-    def _check_move(self, src: Vertex, dst: Vertex) -> None:
-        if not self.validate_moves:
-            return
-        if dst == src or not self.graph.has_edge(src, dst):
-            raise AdversaryError(f"illegal move: {src!r} -> {dst!r} is not an edge")
 
 
 def simulate_path(

@@ -14,6 +14,7 @@ Coordinates are ``tuple[int, ...]`` of length ``d``.
 from __future__ import annotations
 
 import itertools
+from operator import sub
 from typing import Iterator, Sequence
 
 from repro.errors import GraphError
@@ -55,6 +56,28 @@ def _is_coord(vertex: Vertex, dim: int) -> bool:
     return True
 
 
+def _unit_apart(u: Vertex, v: Vertex, dim: int) -> bool:
+    """``_is_coord(u, dim) and _is_coord(v, dim) and l1_distance(u, v) == 1``
+    in one pass over the coordinates.
+
+    Hot path: the engine checks every move of a walk with it. Once a
+    component fails its ``isinstance`` test the answer is ``False``
+    whatever the others hold, so stopping there gives the same answer.
+    """
+    if (
+        not (isinstance(u, tuple) and isinstance(v, tuple))
+        or len(u) != dim
+        or len(v) != dim
+    ):
+        return False
+    gap = 0
+    for a, b in zip(u, v):
+        if not (isinstance(a, int) and isinstance(b, int)):
+            return False
+        gap += abs(a - b)
+    return gap == 1
+
+
 class InfiniteGridGraph(Graph):
     """The infinite grid graph on ``Z^d`` with unit axis moves."""
 
@@ -68,17 +91,16 @@ class InfiniteGridGraph(Graph):
         return self._dim
 
     def neighbors(self, vertex: Vertex) -> list[Coord]:
-        self._check(vertex)
+        if not _is_coord(vertex, self._dim):
+            self._check(vertex)  # raises
         return _axis_moves(vertex)
 
     def has_vertex(self, vertex: Vertex) -> bool:
         return _is_coord(vertex, self._dim)
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
-        """O(d) arithmetic — no neighbor list is materialized."""
-        return (
-            self.has_vertex(u) and self.has_vertex(v) and l1_distance(u, v) == 1
-        )
+        """O(d) arithmetic in one pass — no neighbor list is materialized."""
+        return _unit_apart(u, v, self._dim)
 
     def degree(self, vertex: Vertex) -> int:
         self._check(vertex)
@@ -128,9 +150,7 @@ class GridGraph(FiniteGraph):
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
         """O(d) arithmetic — no neighbor list is materialized."""
-        return (
-            self.has_vertex(u) and self.has_vertex(v) and l1_distance(u, v) == 1
-        )
+        return _unit_apart(u, v, self._dim) and self._inside(u) and self._inside(v)
 
     def vertices(self) -> Iterator[Coord]:
         return itertools.product(*(range(extent) for extent in self._shape))
@@ -158,4 +178,4 @@ class GridGraph(FiniteGraph):
 
 def l1_distance(u: Coord, v: Coord) -> int:
     """Manhattan distance — the graph distance in a (full-box) grid graph."""
-    return sum(abs(a - b) for a, b in zip(u, v))
+    return sum(map(abs, map(sub, u, v)))

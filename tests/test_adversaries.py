@@ -1,6 +1,7 @@
 """Adversarial walkers: each realizes its lemma's upper bound."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from repro.adversaries import (
     SteinerTourAdversary,
     UniformCornerAdversary,
 )
+from repro.adversaries._order import canonical_neighbors
 from repro.analysis import theory
 from repro.blockings import (
     FarthestFaultPolicy,
@@ -43,7 +45,9 @@ from repro.core.block import make_block
 from repro.core.memory import WeakMemory, make_memory
 from repro.core.stats import SearchTrace
 from repro.graphs import (
+    AdjacencyGraph,
     CompleteTree,
+    Graph,
     InfiniteDiagonalGridGraph,
     InfiniteGridGraph,
     complete_graph,
@@ -457,7 +461,48 @@ class TestTours:
         assert adv.step(0, None) == 1
 
 
+class _FixedNeighbors(Graph):
+    """Every vertex has the same neighbor collection, returned as is."""
+
+    def __init__(self, neighbors):
+        self._neighbors = neighbors
+
+    def neighbors(self, vertex):
+        return self._neighbors
+
+    def has_vertex(self, vertex):
+        return True
+
+
 class TestRandomWalk:
+    @pytest.mark.parametrize(
+        "graph, start",
+        [(InfiniteGridGraph(2), (0, 0)), (CompleteTree(2, 12), 0)],
+        ids=["grid2d", "tree"],
+    )
+    def test_walk_draws_the_reference_vertices(self, graph, start):
+        adversary = RandomWalkAdversary(graph, start, seed=11)
+        walk = [start]
+        for _ in range(2_000):
+            walk.append(adversary.step(walk[-1], None))
+        rng = random.Random(11)
+        reference = [start]
+        for _ in range(2_000):
+            reference.append(rng.choice(list(graph.neighbors(reference[-1]))))
+        assert walk == reference
+
+    def test_canonical_neighbors_passes_lists_and_orders_the_rest(self):
+        listed = [(0, 1), (0, -1)]
+        assert canonical_neighbors(_FixedNeighbors(listed), (0, 0)) is listed
+        graph = AdjacencyGraph.from_edges([(0, 2), (0, 1)])
+        assert graph.neighbors(0) == (2, 1)
+        ordered = canonical_neighbors(graph, 0)
+        assert type(ordered) is list and ordered == [2, 1]
+        unordered = {"b", 3, (1, 2), "a"}
+        for collection in (unordered, frozenset(unordered)):
+            ordered = canonical_neighbors(_FixedNeighbors(collection), 0)
+            assert ordered == ["a", "b", (1, 2), 3]  # by repr
+
     def test_deterministic_given_seed(self):
         graph = torus_graph((6, 6))
         blocking, policy = lemma13_blocking(graph, 8)

@@ -15,7 +15,7 @@ from repro import (
 )
 from repro.core.engine import Adversary
 from repro.core.policies import BlockChoicePolicy
-from repro.graphs import path_graph
+from repro.graphs import AdjacencyGraph, path_graph
 from repro.paging.eviction import EvictAllPolicy
 
 
@@ -78,6 +78,22 @@ class TestRunPath:
         with pytest.raises(AdversaryError):
             simulate_path(
                 graph, blocking, FirstBlockPolicy(), ModelParams(5, 10), [0, 0]
+            )
+
+    def test_none_vertex_does_not_restart_the_path(self):
+        # AdjacencyGraph takes any hashable vertex, None included: only
+        # the path's first vertex starts it, so a None later on is one
+        # more step whose move is checked like any other.
+        graph = AdjacencyGraph.from_edges([(1, None), (None, 2), (2, 3)])
+        blocking = ExplicitBlocking(1, {i: {v} for i, v in enumerate([1, None, 2, 3])})
+        trace = simulate_path(
+            graph, blocking, FirstBlockPolicy(), ModelParams(1, 4), [1, None, 2, 3]
+        )
+        assert trace.steps == 3
+        assert trace.fault_gaps == [0, 1, 1, 1]
+        with pytest.raises(AdversaryError, match=r"None -> 3 is not an edge"):
+            simulate_path(
+                graph, blocking, FirstBlockPolicy(), ModelParams(1, 4), [1, None, 3]
             )
 
     def test_validation_can_be_disabled(self):

@@ -1,5 +1,7 @@
 """Grid graphs, finite and infinite."""
 
+from collections import namedtuple
+
 import pytest
 
 from repro import GraphError, GridGraph, InfiniteGridGraph
@@ -105,3 +107,57 @@ class TestHasEdgeFastPath:
         g = GridGraph((3, 3))
         assert not g.has_edge((2, 2), (3, 2))  # off the edge
         assert not g.has_edge((9, 9), (9, 8))  # both outside
+
+
+Point = namedtuple("Point", "x y")
+
+#: What a move check may be handed: coordinates of each tested
+#: dimension, inputs ``isinstance`` accepts (a bool component, a
+#: namedtuple), inputs it rejects, and components far beyond a machine
+#: word. (2, 2) and (3, 2) sit on and just off the edge of the 3x3 box.
+MOVE_INPUTS = [
+    (0,), (1,), (10**30,),
+    (0, 0), (0, 1), (1, 1), (2, 2), (3, 2), (True, 0), Point(0, 1),
+    (10**30, 0), (10**30 + 1, 0),
+    (0, 1, 2), (0, 1, 3),
+    (1.0, 1), [0, 1], "ab", None,
+]
+
+MOVE_GRAPHS = [
+    InfiniteGridGraph(1), InfiniteGridGraph(2), InfiniteGridGraph(3),
+    GridGraph((3, 3)),
+]
+
+
+class TestMoveCheckInputs:
+    """has_edge checks both endpoints and their L1 gap in one pass; it
+    must answer exactly as the three separate checks compose."""
+
+    @pytest.mark.parametrize("graph", MOVE_GRAPHS, ids=repr)
+    def test_has_edge_equals_composed_checks(self, graph):
+        for u in MOVE_INPUTS:
+            for v in MOVE_INPUTS:
+                want = (
+                    graph.has_vertex(u)
+                    and graph.has_vertex(v)
+                    and l1_distance(u, v) == 1
+                )
+                assert graph.has_edge(u, v) == want, (u, v)
+
+    @pytest.mark.parametrize("graph", MOVE_GRAPHS, ids=repr)
+    def test_neighbors_raises_exactly_off_the_graph(self, graph):
+        for u in MOVE_INPUTS:
+            if graph.has_vertex(u):
+                assert all(graph.has_edge(u, v) for v in graph.neighbors(u))
+            else:
+                with pytest.raises(GraphError):
+                    graph.neighbors(u)
+
+    def test_isinstance_accepted_inputs_are_edges(self):
+        g = InfiniteGridGraph(2)
+        assert g.has_edge((True, 0), (0, 0))
+        assert g.has_edge(Point(0, 1), (0, 0))
+        assert g.has_edge((10**30, 0), (10**30 + 1, 0))
+        assert not g.has_edge((1.0, 1), (0, 1))
+        assert GridGraph((3, 3)).has_edge((True, 0), (0, 0))
+        assert not GridGraph((3, 3)).has_edge((2, 2), (3, 2))
