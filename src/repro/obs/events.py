@@ -20,7 +20,7 @@ runs in a merged campaign trace) and ``trace_footer`` (the closing
 completeness statement of any finished trace).
 
 Events are plain frozen dataclasses with a stable wire form
-(:meth:`TraceEvent.to_json` / :func:`event_from_dict`): one JSON object
+(:meth:`TraceEvent.to_json` / :func:`event_from_line`): one JSON object
 per event, ``{"event": <kind>, "run": <id>, ...}``, fields in
 declaration order. Each class's :class:`WirePlan`, derived once from its
 dataclass fields, drives both directions. Vertices and block ids are
@@ -33,14 +33,54 @@ int/str/tuple identifiers every substrate in this repository uses.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import MISSING, dataclass, fields
 from typing import Any, Callable, ClassVar, Mapping
 
 from repro.errors import ReproError
 
-#: The one wire encoder: compact separators, and the same ``str``
-#: fallback for exotic leaves that :func:`jsonable` applies.
+#: The wire encoder's settings: compact separators, and the same
+#: ``str`` fallback for exotic leaves that :func:`jsonable` applies.
 _ENCODER = json.JSONEncoder(separators=(",", ":"), default=str)
+
+
+def _bind_encoder() -> Callable[[dict[str, Any]], str]:
+    """``_ENCODER.encode``, minus its per-call set-up.
+
+    ``JSONEncoder.encode`` builds a C encoder, a circular-reference
+    dict and a float closure for every object; this builds the C
+    encoder once, with ``_ENCODER``'s settings. It keeps no markers
+    dict: an event holds no cycles, and a shared dict would outlive a
+    call that failed halfway.
+    """
+    make = getattr(json.encoder, "c_make_encoder", None)
+    if make is None:  # an interpreter without the C accelerator
+        return _ENCODER.encode
+    iterencode = make(
+        None,
+        _ENCODER.default,
+        json.encoder.encode_basestring_ascii,
+        _ENCODER.indent,
+        _ENCODER.key_separator,
+        _ENCODER.item_separator,
+        _ENCODER.sort_keys,
+        _ENCODER.skipkeys,
+        _ENCODER.allow_nan,
+    )
+
+    def encode(payload: dict[str, Any]) -> str:
+        return "".join(iterencode(payload, 0))
+
+    return encode
+
+
+_encode = _bind_encoder()
+
+#: The one wire decoder, bound once: a stripped line skips the type,
+#: BOM and whitespace checks ``json.loads`` makes around each call.
+_RAW_DECODE = json.JSONDecoder().raw_decode
+#: JSON's whitespace, which ``json.loads`` skips before "Extra data".
+_SKIP_WHITESPACE = re.compile(r"[ \t\n\r]*").match
 
 
 def jsonable(value: Any) -> Any:
@@ -58,10 +98,12 @@ def jsonable(value: Any) -> Any:
 def retuple(value: Any) -> Any:
     """Undo :func:`jsonable` for identifiers: JSON arrays back to
     tuples, recursively. Dicts keep their keys (they were stringified
-    on the way out and stay strings)."""
-    if isinstance(value, list):
-        return tuple(retuple(v) for v in value)
-    if isinstance(value, dict):
+    on the way out and stay strings). JSON decodes to exact ``list``
+    and ``dict``, so the tests are on the exact type."""
+    cls = type(value)
+    if cls is list:
+        return tuple([retuple(v) for v in value])
+    if cls is dict:
         return {k: retuple(v) for k, v in value.items()}
     return value
 
@@ -113,7 +155,7 @@ class WirePlan:
         for name in self.names:
             value = getattr(event, name)
             payload[name] = jsonable(value) if isinstance(value, dict) else value
-        return _ENCODER.encode(payload)
+        return _encode(payload)
 
     def decode(self, payload: Mapping[str, Any]) -> TraceEvent:
         """Rebuild an event of this class from its decoded wire object."""
@@ -490,6 +532,9 @@ _PLANS: dict[type[TraceEvent], WirePlan] = {
     cls: WirePlan(cls) for cls in EVENT_TYPES.values()
 }
 
+#: The same plans by wire kind: the one lookup a decoded line needs.
+_KIND_PLANS: dict[str, WirePlan] = {plan.kind: plan for plan in _PLANS.values()}
+
 
 def _plan(cls: type[TraceEvent]) -> WirePlan:
     """The shared plan of a registered class; any other subclass gets a
@@ -505,8 +550,26 @@ def event_from_dict(payload: Mapping[str, Any]) -> TraceEvent:
     no default (absent defaulted fields fall back to their default, so
     traces written before a field existed still parse).
     """
-    kind = payload.get("event")
-    cls = EVENT_TYPES.get(kind)
-    if cls is None:
-        raise ReproError(f"unknown trace event kind {kind!r}")
-    return _plan(cls).decode(payload)
+    plan = _KIND_PLANS.get(payload.get("event"))
+    if plan is None:
+        raise ReproError(f"unknown trace event kind {payload.get('event')!r}")
+    return plan.decode(payload)
+
+
+def event_from_line(line: str) -> TraceEvent:
+    """Rebuild an event from one stripped JSONL line.
+
+    Raises what ``json.loads`` raises for text that is not one JSON
+    value (:class:`json.JSONDecodeError`, with the same "Extra data"
+    error when anything follows the value), :class:`ReproError` for a
+    value that is not an object, and whatever :func:`event_from_dict`
+    raises for an object that is not an event.
+    """
+    payload, end = _RAW_DECODE(line)
+    if end != len(line):
+        raise json.JSONDecodeError(
+            "Extra data", line, _SKIP_WHITESPACE(line, end).end()
+        )
+    if type(payload) is not dict:
+        raise ReproError(f"not a JSON object: {line[:60]}")
+    return event_from_dict(payload)

@@ -17,12 +17,12 @@ trace (plain or campaign-merged) and produces, per run:
   fault-vs-m curve is the paper's σ measured across the whole memory
   axis from a single traced run.
 * **A fault taxonomy**: compulsory (first reference to a block) /
-  capacity (would also fault under Belady MIN at the same m, replayed
-  via :func:`repro.paging.belady.belady_trace` on a synthetic s=1
-  reconstruction of the reference string) / policy-induced (the rest).
-  Where s>1 makes MIN ill-defined — a recorded arrival touching
-  several holder blocks — the taxonomy degrades to "MIN unavailable"
-  instead of raising.
+  capacity (would also fault under Belady MIN at the same m, paged by
+  :func:`repro.paging.belady.belady_blocks` over the arrival-level
+  block reference string, one step per reference) / policy-induced
+  (the rest). Where s>1 makes MIN ill-defined — a recorded arrival
+  touching several holder blocks — the taxonomy degrades to "MIN
+  unavailable" instead of raising.
 * **A per-block ledger**: heat (references), eviction churn
   (load→evict→reload cycles), and inter-reference-gap percentiles.
 
@@ -53,7 +53,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.cache import atomic_write_text
-from repro.errors import ReproError
+from repro.errors import PagingError, ReproError
 from repro.obs.events import (
     BlockReadEvent,
     EvictionEvent,
@@ -327,13 +327,13 @@ def taxonomy(rec: RunRecord) -> dict[str, Any]:
     policy-induced, by replaying the reference string under Belady MIN
     at the same m.
 
-    The replay builds a synthetic s=1 blocking — block ``b`` becomes
-    pseudo-vertices ``(b, 0..size-1)`` — so
-    :func:`repro.paging.belady.belady_trace` applies verbatim. Arrivals
-    that touched several holder blocks get a shared pseudo-vertex in
-    every holder, making the synthetic blocking s>1; ``belady_trace``
-    then refuses it and the taxonomy reports "MIN unavailable" instead
-    of raising (MIN is not well-defined when the block choice is free).
+    MIN pages the arrival-level block reference string directly
+    (:func:`repro.paging.belady.belady_blocks`), one step per
+    reference, with each block's recorded size. MIN is defined only
+    when every arrival names one block of known size: an arrival that
+    touched several holder blocks (an s>1 run, where the block choice
+    is free) or a holder never seen loaded makes the taxonomy report
+    "MIN unavailable" instead of raising.
     """
     compulsory = len(set(map(_block_key, rec.read_sequence)))
     out: dict[str, Any] = {
@@ -362,35 +362,18 @@ def taxonomy(rec: RunRecord) -> dict[str, Any]:
         refs = [(block_id,) for block_id in rec.read_sequence]
         basis = "approximate: reads-only reference string"
 
-    from repro.core.blocking import ExplicitBlocking
-    from repro.core.model import ModelParams
-    from repro.errors import PagingError
-    from repro.paging.belady import belady_trace
+    from repro.paging.belady import belady_blocks
 
-    blocks: dict[Any, list[Any]] = {
-        block_id: [(block_id, i) for i in range(size)]
-        for block_id, size in rec.block_sizes.items()
-    }
-    shared: dict[tuple[Any, ...], Any] = {}
-    path: list[Any] = []
-    for ref in refs:
-        if len(ref) == 1:
-            path.append((ref[0], 0))
-            continue
-        vertex = shared.get(ref)
-        if vertex is None:
-            vertex = ("__shared__", len(shared))
-            shared[ref] = vertex
-            for block_id in ref:
-                blocks.setdefault(block_id, []).append(vertex)
-        path.append(vertex)
-    capacity_b = max(len(vertices) for vertices in blocks.values())
+    sizes = rec.block_sizes
+    block_of: list[Any] = []
     try:
-        blocking = ExplicitBlocking(capacity_b, blocks)
-        params = ModelParams(
-            block_size=rec.block_size, memory_size=rec.memory_size
-        )
-        min_faults = belady_trace(path, blocking, params).faults
+        for ref in refs:
+            if len(ref) != 1 or ref[0] not in sizes:
+                raise _not_one_block(ref)
+            block_of.append(ref[0])
+        min_faults = belady_blocks(
+            block_of, sizes.__getitem__, rec.memory_size
+        ).faults
     except PagingError as exc:
         out["min_status"] = f"MIN unavailable: {exc}"
         return out
@@ -402,6 +385,24 @@ def taxonomy(rec: RunRecord) -> dict[str, Any]:
         min_status=basis,
     )
     return out
+
+
+def _not_one_block(ref: tuple[Any, ...]) -> PagingError:
+    """MIN's s=1 error for the first arrival that names no single block
+    of known size.
+
+    Forensics once ran MIN on a blocking of pseudo-vertices, and the
+    error keeps the vertex that blocking gave the arrival, so forensics
+    documents keep their bytes: ``(block, 0)`` for a holder with no
+    recorded size (a vertex in no block), and ``("__shared__", 0)`` for
+    the run's first arrival with several holders or none (a vertex in
+    each of them).
+    """
+    from repro.paging.belady import s1_violation
+
+    if len(ref) == 1:
+        return s1_violation((ref[0], 0), 0)
+    return s1_violation(("__shared__", 0), len(ref))
 
 
 # -- per-block ledger ---------------------------------------------------

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import IO, Iterable
 
 from repro.errors import ReproError
-from repro.obs.events import TraceEvent, event_from_dict
+from repro.obs.events import TraceEvent, event_from_line
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -104,6 +104,8 @@ class JsonlSink(TraceSink):
 
     The file is opened lazily on the first event and truncated, so
     constructing the sink is free and an unused sink leaves no file.
+    Once a path-owned sink is closed it stays closed: a later event
+    raises :class:`ReproError` instead of truncating the file it wrote.
     """
 
     def __init__(self, path: str | Path | None = None, stream: IO[str] | None = None) -> None:
@@ -112,15 +114,25 @@ class JsonlSink(TraceSink):
         self.path = Path(path) if path is not None else None
         self._stream = stream
         self._owns_stream = stream is None
+        self._closed = False
         self.events_written = 0
 
     def emit(self, event: TraceEvent) -> None:
-        if self._stream is None:
-            assert self.path is not None
-            self._stream = self.path.open("w", encoding="utf-8")
-        self._stream.write(event.to_json())
-        self._stream.write("\n")
+        stream = self._stream
+        if stream is None:
+            stream = self._open()
+        stream.write(event.to_json() + "\n")
         self.events_written += 1
+
+    def _open(self) -> IO[str]:
+        if self._closed:
+            raise ReproError(
+                f"{self.path}: event after close() "
+                f"({self.events_written} events already written)"
+            )
+        assert self.path is not None
+        self._stream = self.path.open("w", encoding="utf-8")
+        return self._stream
 
     def close(self) -> None:
         if self._stream is not None:
@@ -128,6 +140,7 @@ class JsonlSink(TraceSink):
             if self._owns_stream:
                 self._stream.close()
                 self._stream = None
+        self._closed = True
 
 
 class CompositeSink(TraceSink):
@@ -148,9 +161,11 @@ class CompositeSink(TraceSink):
 def read_jsonl(path: str | Path) -> Iterable[TraceEvent]:
     """Parse a JSONL trace file back into typed events, in file order.
 
-    A line that does not decode to an event (torn JSON, a non-object,
-    an unknown kind, a missing field) raises :class:`ReproError` naming
-    the file and its 1-based line number.
+    A line that does not decode to one event (torn JSON, data after the
+    object, a non-object, an unknown kind, a missing field) raises
+    :class:`ReproError` naming the file and its 1-based line number.
+    Each line is decoded on its own (:func:`event_from_line`): parsing
+    the file as one array could join two torn lines into valid JSON.
     """
     with Path(path).open("r", encoding="utf-8") as stream:
         for number, line in enumerate(stream, 1):
@@ -158,10 +173,7 @@ def read_jsonl(path: str | Path) -> Iterable[TraceEvent]:
             if not line:
                 continue
             try:
-                payload = json.loads(line)
-                if not isinstance(payload, dict):
-                    raise ReproError(f"not a JSON object: {line[:60]}")
-                event = event_from_dict(payload)
+                event = event_from_line(line)
             except json.JSONDecodeError as exc:
                 raise ReproError(
                     f"{path}:{number}: undecodable JSON "

@@ -44,7 +44,7 @@ from repro.obs.events import (
     ShardMergedEvent,
     TraceEvent,
     TraceFooterEvent,
-    event_from_dict,
+    event_from_line,
 )
 from repro.obs.instrument import Instrumentation
 from repro.obs.metrics import MetricsRegistry
@@ -147,8 +147,11 @@ def read_shard(
 ) -> tuple[list[TraceEvent], TraceFooterEvent | None]:
     """Parse one shard: its events (footer excluded) and the footer.
 
-    A torn shard — killed worker, unreadable tail — yields the events
-    that parse and ``footer=None``; the caller decides what incomplete
+    Lines decode as :func:`~repro.obs.sinks.read_jsonl` decodes them
+    (:func:`~repro.obs.events.event_from_line`), but the first line
+    that does not decode ends the shard quietly instead of raising: a
+    torn shard — killed worker, unreadable tail — yields the events
+    before it and ``footer=None``; the caller decides what incomplete
     means (the merger records it in the ``shard_merged`` event).
     """
     events: list[TraceEvent] = []
@@ -162,8 +165,8 @@ def read_shard(
         if not line:
             continue
         try:
-            event = event_from_dict(json.loads(line))
-        except (json.JSONDecodeError, ReproError, TypeError, ValueError):
+            event = event_from_line(line)
+        except (ReproError, TypeError, ValueError):
             break  # torn tail: a killed worker's last partial append
         if isinstance(event, TraceFooterEvent):
             footer = event

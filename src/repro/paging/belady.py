@@ -13,13 +13,16 @@ sizes. The competitive ratio of an on-line policy on a trace is then
 For ``s > 1`` blockings the block *choice* also matters and MIN is no
 longer obviously optimal; :func:`belady_trace` therefore refuses
 blockings that replicate vertices rather than silently produce a
-non-optimal "optimum".
+non-optimal "optimum". Once each position is resolved to its block,
+MIN needs only the block ids and their sizes: :func:`belady_blocks`
+pages such a block reference string directly (fault forensics feeds it
+the arrival-level string of a trace).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.core.blocking import Blocking
 from repro.core.model import ModelParams
@@ -44,17 +47,31 @@ def belady_trace(
     for vertex in path:
         candidates = blocking.blocks_for(vertex)
         if len(candidates) != 1:
-            raise PagingError(
-                "belady_trace requires an s=1 blocking (vertex "
-                f"{vertex!r} lives in {len(candidates)} blocks)"
-            )
+            raise s1_violation(vertex, len(candidates))
         block_of.append(candidates[0])
+    return belady_blocks(
+        block_of, lambda bid: len(blocking.block(bid)), params.memory_size
+    )
 
+
+def belady_blocks(
+    block_of: Sequence[BlockId],
+    size: Callable[[BlockId], int],
+    memory_size: int,
+) -> SearchTrace:
+    """Belady's MIN over a block reference string.
+
+    ``block_of[i]`` is the block the i-th position of a path references
+    and ``size(bid)`` a block's size in vertex copies, asked once per
+    fault. Memory holds whole blocks up to ``memory_size`` copies; on a
+    fault, the resident blocks whose next reference is farthest away
+    are evicted until the new block fits.
+    """
     # next_use[i] = next position > i referencing the same block.
-    infinity = len(path) + 1
-    next_use = [infinity] * len(path)
+    infinity = len(block_of) + 1
+    next_use = [infinity] * len(block_of)
     last_seen: dict[BlockId, int] = {}
-    for i in range(len(path) - 1, -1, -1):
+    for i in range(len(block_of) - 1, -1, -1):
         bid = block_of[i]
         next_use[i] = last_seen.get(bid, infinity)
         last_seen[bid] = i
@@ -67,11 +84,10 @@ def belady_trace(
     heap: list[tuple[int, BlockId]] = []
     upcoming: dict[BlockId, int] = {}
     steps_since_fault = 0
-    for position, vertex in enumerate(path):
+    for position, bid in enumerate(block_of):
         if position > 0:
             trace.steps += 1
             steps_since_fault += 1
-        bid = block_of[position]
         if bid in resident:
             upcoming[bid] = next_use[position]
             heapq.heappush(heap, (-next_use[position], bid))
@@ -80,18 +96,27 @@ def belady_trace(
         trace.faults += 1
         trace.fault_gaps.append(steps_since_fault)
         steps_since_fault = 0
-        block = blocking.block(bid)
-        while occupancy + len(block) > params.memory_size:
+        block_size = size(bid)
+        while occupancy + block_size > memory_size:
             victim = _pop_farthest(heap, upcoming, resident)
             occupancy -= resident.pop(victim)
             del upcoming[victim]
-        resident[bid] = len(block)
-        occupancy += len(block)
+        resident[bid] = block_size
+        occupancy += block_size
         upcoming[bid] = next_use[position]
         heapq.heappush(heap, (-next_use[position], bid))
         trace.blocks_read += 1
         trace.block_reads.append(bid)
     return trace
+
+
+def s1_violation(vertex: Vertex, blocks: int) -> PagingError:
+    """The error MIN gives a path vertex that lives in ``blocks`` != 1
+    blocks."""
+    return PagingError(
+        "belady_trace requires an s=1 blocking (vertex "
+        f"{vertex!r} lives in {blocks} blocks)"
+    )
 
 
 def _pop_farthest(heap, upcoming, resident) -> BlockId:

@@ -21,6 +21,9 @@ from __future__ import annotations
 
 import json
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro import FirstBlockPolicy, ModelParams, Searcher
 from repro.adversaries import RandomWalkAdversary
 from repro.blockings import (
@@ -28,7 +31,9 @@ from repro.blockings import (
     contiguous_1d_blocking,
     offset_1d_blocking,
 )
+from repro.core.blocking import ExplicitBlocking
 from repro.core.model import PagingModel
+from repro.errors import PagingError
 from repro.experiments import ChaosConfig, run_campaign
 from repro.graphs import InfiniteGridGraph
 from repro.obs import (
@@ -45,11 +50,15 @@ from repro.obs import (
 )
 from repro.obs.forensics import (
     LRU_EVICTION,
+    Arrival,
+    RunRecord,
     render_markdown,
     self_check_failures,
     to_json,
 )
+from repro.obs.forensics import _block_key
 from repro.obs.forensics import main as forensics_main
+from repro.paging.belady import belady_trace
 from repro.paging.eviction import EvictAllPolicy
 
 B = 8
@@ -215,6 +224,139 @@ class TestTaxonomy:
         )
         (run,) = analyze_trace(stripped)["runs"]
         assert not run["self_check"]["applicable"]
+
+
+def pseudo_vertex_taxonomy(rec):
+    """The reference taxonomy: MIN as forensics first ran it, on an s=1
+    reconstruction of the reference string. Block ``b`` becomes the
+    pseudo-vertices ``(b, 0..size-1)`` of an :class:`ExplicitBlocking`,
+    a single-holder arrival visits ``(b, 0)``, and a multi-holder
+    arrival visits a ``("__shared__", k)`` vertex placed in every one
+    of its holders, which ``belady_trace`` then refuses."""
+    compulsory = len(set(map(_block_key, rec.read_sequence)))
+    out = {
+        "compulsory": compulsory,
+        "capacity": None,
+        "policy_induced": None,
+        "min_faults": None,
+        "min_status": "",
+    }
+    if not rec.complete or rec.observed_faults is None:
+        out["min_status"] = "unavailable: run incomplete"
+        return out
+    if rec.model != "weak":
+        out["min_status"] = (
+            "unavailable: strong-model run (weak-model MIN not comparable)"
+        )
+        return out
+    observed = rec.observed_faults
+    if not rec.read_sequence:
+        out.update(capacity=0, policy_induced=0, min_faults=0, min_status="exact")
+        return out
+    if rec.touch_tracked:
+        refs = [a.refs for a in rec.arrivals]
+        basis = "exact"
+    else:
+        refs = [(block_id,) for block_id in rec.read_sequence]
+        basis = "approximate: reads-only reference string"
+    blocks = {
+        block_id: [(block_id, i) for i in range(size)]
+        for block_id, size in rec.block_sizes.items()
+    }
+    shared = {}
+    path = []
+    for ref in refs:
+        if len(ref) == 1:
+            path.append((ref[0], 0))
+            continue
+        vertex = shared.get(ref)
+        if vertex is None:
+            vertex = ("__shared__", len(shared))
+            shared[ref] = vertex
+            for block_id in ref:
+                blocks.setdefault(block_id, []).append(vertex)
+        path.append(vertex)
+    capacity_b = max(len(vertices) for vertices in blocks.values())
+    try:
+        blocking = ExplicitBlocking(capacity_b, blocks)
+        params = ModelParams(
+            block_size=rec.block_size, memory_size=rec.memory_size
+        )
+        min_faults = belady_trace(path, blocking, params).faults
+    except PagingError as exc:
+        out["min_status"] = f"MIN unavailable: {exc}"
+        return out
+    capacity = max(0, min(min_faults, observed) - compulsory)
+    out.update(
+        capacity=capacity,
+        policy_induced=observed - compulsory - capacity,
+        min_faults=min_faults,
+        min_status=basis,
+    )
+    return out
+
+
+@st.composite
+def min_records(draw):
+    """Complete weak-model runs over at most 6 block ids (ints or
+    tuples), every id sized unless dropped, with occasional
+    multi-holder arrivals. Sizes are at least 1, since a loaded block
+    holds a vertex, and may exceed m, which MIN cannot page."""
+    ids = draw(st.sampled_from([list(range(6)), [(i, -i) for i in range(6)]]))
+    block_size = draw(st.integers(1, 4))
+    memory_size = draw(st.integers(block_size, 3 * block_size))
+    sizes = {b: draw(st.integers(1, memory_size + 1)) for b in ids}
+    for b in draw(st.lists(st.sampled_from(ids), max_size=2)):
+        if len(sizes) > 1:
+            sizes.pop(b, None)
+    single = st.sampled_from(ids).map(lambda b: (b,))
+    multi = st.lists(
+        st.sampled_from(ids), min_size=2, max_size=3, unique=True
+    ).map(tuple)
+    refs = draw(st.lists(st.one_of(single, single, single, multi), max_size=40))
+    reads = [ref[0] for ref in refs if len(ref) == 1]
+    touch_tracked = draw(st.booleans())
+    return RunRecord(
+        run=0, driver="path", model="weak", block_size=block_size,
+        memory_size=memory_size, eviction=LRU_EVICTION,
+        arrivals=[Arrival(refs=ref, fault=len(ref) == 1) for ref in refs],
+        block_sizes=sizes,
+        read_sequence=reads,
+        observed_faults=draw(st.integers(0, 60)),
+        observed_steps=len(refs), touch_tracked=touch_tracked, ended=True,
+    )
+
+
+class TestMinOnBlockIds:
+    @given(min_records())
+    @settings(max_examples=400, deadline=None)
+    def test_taxonomy_equals_the_pseudo_vertex_reference(self, rec):
+        assert taxonomy(rec) == pseudo_vertex_taxonomy(rec)
+
+    def test_the_generator_reaches_every_outcome(self):
+        """Each way MIN ends shows up among the generated runs."""
+        seen = set()
+
+        @given(min_records())
+        @settings(
+            max_examples=400, deadline=None, database=None, derandomize=True
+        )
+        def collect(rec):
+            status = taxonomy(rec)["min_status"]
+            if "lives in 0 blocks" in status:
+                seen.add("missing size")
+            elif "lives in" in status:
+                seen.add("multi-holder")
+            elif "nothing evictable" in status:
+                seen.add("block larger than m")
+            elif rec.read_sequence:
+                seen.add(status)
+
+        collect()
+        assert seen == {
+            "missing size", "multi-holder", "block larger than m",
+            "exact", "approximate: reads-only reference string",
+        }
 
 
 # -- per-block ledger ---------------------------------------------------

@@ -335,6 +335,37 @@ class TestSinks:
         # A ring that never wraps reports zero drops.
         assert RingBufferSink(capacity=16).events_dropped == 0
 
+    def test_jsonl_emit_after_close_raises_and_keeps_the_file(self, tmp_path):
+        """A closed sink does not reopen its path: that would truncate
+        the events it already wrote while ``events_written`` counted
+        on. ``close()`` stays idempotent."""
+        from repro.errors import ReproError
+
+        path = tmp_path / "t.jsonl"
+        events = [StepEvent(run=0, vertex=(i,)) for i in range(3)]
+        sink = JsonlSink(path)
+        for event in events:
+            sink.emit(event)
+        sink.close()
+        sink.close()
+        with pytest.raises(ReproError, match=r"t\.jsonl: event after close"):
+            sink.emit(StepEvent(run=0, vertex=(3,)))
+        assert sink.events_written == 3
+        assert list(read_jsonl(path)) == events
+
+    def test_second_shard_close_keeps_the_sealed_shard(self, tmp_path):
+        from repro.errors import ReproError
+        from repro.obs import ShardRecorder, read_shard
+
+        recorder = ShardRecorder(tmp_path / "s.jsonl", tmp_path / "s.json")
+        recorder.sink.emit(StepEvent(run=0, vertex=(0,)))
+        recorder.close()
+        with pytest.raises(ReproError, match="event after close"):
+            recorder.close()
+        events, footer = read_shard(tmp_path / "s.jsonl")
+        assert events == [StepEvent(run=0, vertex=(0,))]
+        assert footer is not None and footer.events_emitted == 1
+
 
 # -- metrics ------------------------------------------------------------
 
@@ -839,6 +870,12 @@ class TestUndecodableTraces:
         elif case == "garbage-middle-line":
             bad = len(lines) // 2
             lines[bad - 1] = "}not json{"
+        elif case == "two-objects-one-line":
+            bad = len(lines) // 2
+            lines[bad - 1] = f"{lines[bad - 1]} {lines[bad - 1]}"
+        elif case == "array-line":
+            bad = 4
+            lines[bad - 1] = "[1, 2]"
         else:
             bad = 3
             lines[bad - 1] = '{"event":"nope","run":0}'
@@ -846,7 +883,10 @@ class TestUndecodableTraces:
         broken.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return broken, bad
 
-    CASES = ("torn-last-line", "garbage-middle-line", "unknown-kind")
+    CASES = (
+        "torn-last-line", "garbage-middle-line", "unknown-kind",
+        "two-objects-one-line", "array-line",
+    )
 
     @pytest.mark.parametrize("case", CASES)
     def test_read_jsonl_names_file_and_line(self, tmp_path, case):
@@ -865,6 +905,34 @@ class TestUndecodableTraces:
             assert captured.err.count("\n") == 1
             assert f"{path}:{bad}: " in captured.err
             assert "Traceback" not in captured.err
+
+    #: What the reader says about each line that decodes to one JSON
+    #: value too many, or to a value that is not an object.
+    MESSAGES = {
+        "two-objects-one-line": r"undecodable JSON \(Extra data at column \d+\)",
+        "array-line": r"not a JSON object: \[1, 2\]",
+    }
+
+    @pytest.mark.parametrize("case", sorted(MESSAGES))
+    def test_read_jsonl_says_what_is_wrong(self, tmp_path, case):
+        from repro.errors import ReproError
+
+        path, bad = self.broken_trace(tmp_path, case)
+        with pytest.raises(
+            ReproError, match=rf"broken\.jsonl:{bad}: {self.MESSAGES[case]}$"
+        ):
+            list(read_jsonl(path))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_read_shard_stops_quietly_at_the_bad_line(self, tmp_path, case):
+        """A shard decodes its lines as ``read_jsonl`` does, but ends at
+        the first undecodable one instead of raising."""
+        from repro.obs import read_shard
+
+        path, bad = self.broken_trace(tmp_path, case)
+        events, footer = read_shard(path)
+        assert footer is None
+        assert events == list(read_jsonl(path.with_name("t.jsonl")))[: bad - 1]
 
 
 # -- covered_count ------------------------------------------------------
