@@ -9,19 +9,20 @@ every row of the paper's Table 1.
 
 Quickstart::
 
-    from repro import GridGraph, ModelParams, Searcher
-    from repro.blockings import OffsetGridBlocking
-    from repro.blockings.policies import MostInteriorGridPolicy
+    from repro import InfiniteGridGraph, ModelParams, Searcher
     from repro.adversaries import GridCorridorAdversary
+    from repro.blockings import FarthestFaultPolicy, offset_grid_blocking
 
-    grid = GridGraph((256, 256))
-    params = ModelParams(block_size=64, memory_size=128)
-    blocking = OffsetGridBlocking(dim=2, block_size=64, copies=2)
-    searcher = Searcher(grid, blocking, MostInteriorGridPolicy(), params)
-    trace = searcher.run_adversary(
-        GridCorridorAdversary(dim=2, block_size=64), num_steps=20_000
-    )
-    print(trace.speedup)   # ~ sqrt(B)/4 or better, per Lemma 22
+    B, M = 64, 128
+    grid = InfiniteGridGraph(2)                           # the paper's Z^2
+    blocking = offset_grid_blocking(dim=2, block_size=B)  # Lemma 22, s = 2
+    searcher = Searcher(grid, blocking, FarthestFaultPolicy(grid),
+                        ModelParams(block_size=B, memory_size=M))
+
+    hostile = searcher.run_adversary(
+        GridCorridorAdversary(dim=2, block_size=B, memory_size=M), 20_000)
+    print(hostile.speedup)   # ~8: inside [sqrt(B)/4, 2 sqrt(B)] = [2, 16]
+    print(hostile.min_gap)   # >= 2: the per-fault guarantee of Lemma 22
 """
 
 from repro.core import (

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 
+from repro.analysis.theory import integer_root
 from repro.core.engine import Adversary, MemoryView
 from repro.errors import AdversaryError
 from repro.graphs.base import Graph
@@ -35,9 +36,11 @@ class _CorridorBase(Adversary):
     ) -> None:
         if dim < 1:
             raise AdversaryError(f"dim must be >= 1, got {dim}")
+        if block_size < 1:
+            raise AdversaryError(f"block size must be >= 1, got {block_size}")
         self._dim = dim
         if width is None:
-            width = _floor_root(block_size, dim)
+            width = integer_root(block_size, dim)
         if width < 1:
             raise AdversaryError(f"corridor width must be >= 1, got {width}")
         self._width = width
@@ -52,6 +55,10 @@ class _CorridorBase(Adversary):
         self._horizon = memory_size // cross_cells + block_size + 4
         self._target: Coord | None = None
         self._seen_faults = -1
+        # The cross-section in nearest-first order, per pathfront cross
+        # position. An order depends only on the base, the width and
+        # that position, so it outlives reset().
+        self._orders: dict[Coord, list[Coord]] = {}
 
     @property
     def width(self) -> int:
@@ -79,31 +86,41 @@ class _CorridorBase(Adversary):
         so the pathfront's own cross cell whenever it lies in the
         corridor and is uncovered.
 
-        The cross-section is ordered by that rule once per call, and
-        each column costs one ``view.uncovered_among`` call; its set is
-        only probed, in that order, never iterated."""
+        Each column is built at C level by ``itertools.product`` and
+        costs one ``view.uncovered_among`` call; its set is only probed,
+        in the cross-section's nearest-first order, never iterated."""
         ranges = self._cross_ranges()
-        # Each cross position's L1 distance is the sum of its per-axis
-        # distances, taken over the same product as the positions; the
-        # stable sort keeps product order among equal distances.
-        axis_distances = [
-            [abs(c - p) for c in axis] for axis, p in zip(ranges, pathfront[1:])
-        ]
-        distances = list(map(sum, itertools.product(*axis_distances)))
-        crosses = list(itertools.product(*ranges))
-        nearest_first = [
-            crosses[i] for i in sorted(range(len(crosses)), key=distances.__getitem__)
-        ]
+        nearest_first = self._nearest_first(pathfront[1:], ranges)
         x0 = pathfront[0]
         for x in range(x0, x0 + self._horizon):
-            column = list(map((x,).__add__, nearest_first))
-            uncovered = view.uncovered_among(column)
+            uncovered = view.uncovered_among(itertools.product((x,), *ranges))
             if uncovered:
-                return next(filter(uncovered.__contains__, column))
+                cells = map((x,).__add__, nearest_first)
+                return next(filter(uncovered.__contains__, cells))
         raise AdversaryError(
             f"no uncovered corridor cell within {self._horizon} columns — "
             "is memory larger than the whole corridor window?"
         )
+
+    def _nearest_first(self, cross: Coord, ranges: list[range]) -> list[Coord]:
+        """The cross-section's positions by L1 distance from ``cross``,
+        product order among equal distances; ordered once per
+        ``cross``."""
+        order = self._orders.get(cross)
+        if order is None:
+            # Each position's L1 distance is the sum of its per-axis
+            # distances, taken over the same product as the positions;
+            # the stable sort keeps product order among equal distances.
+            axis_distances = [
+                [abs(c - p) for c in axis] for axis, p in zip(ranges, cross)
+            ]
+            distances = list(map(sum, itertools.product(*axis_distances)))
+            crosses = list(itertools.product(*ranges))
+            order = self._orders[cross] = [
+                crosses[i]
+                for i in sorted(range(len(crosses)), key=distances.__getitem__)
+            ]
+        return order
 
     def step(self, pathfront: Vertex, view: MemoryView) -> Vertex:
         if view.fault_count != self._seen_faults or self._target is None:
@@ -167,12 +184,3 @@ def _sign(x: int) -> int:
     if x < 0:
         return -1
     return 0
-
-
-def _floor_root(value: int, degree: int) -> int:
-    root = int(round(value ** (1.0 / degree)))
-    while root ** degree > value:
-        root -= 1
-    while (root + 1) ** degree <= value:
-        root += 1
-    return max(root, 1)

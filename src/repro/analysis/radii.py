@@ -21,8 +21,12 @@ import math
 import random
 from typing import Iterable
 
-from repro.analysis.neighborhoods import ball_volume, compact_neighborhood
-from repro.cache import cached
+from repro.analysis.neighborhoods import (
+    CompactNeighborhood,
+    ball_volume,
+    compact_neighborhood,
+)
+from repro.cache import cache_enabled, cached
 from repro.errors import AnalysisError
 from repro.graphs.base import FiniteGraph, Graph
 from repro.typing import Vertex
@@ -59,6 +63,32 @@ def _resolve_vertices(
     return random.Random(seed).sample(population, sample)
 
 
+def neighborhood_table(
+    graph: FiniteGraph, k: int
+) -> dict[Vertex, CompactNeighborhood] | None:
+    """Every vertex's compact k-neighborhood, keyed in
+    ``graph.vertices()`` order — or ``None`` when the table cannot be
+    cached (the graph has no :meth:`cache_key`, or caching is off).
+
+    The table is memoized per ``(graph.cache_key(), k)`` in the
+    construction cache, so the k-radii below and the Lemma 13 /
+    Theorem 4 / Theorem 6 blocks
+    (:func:`~repro.blockings.neighborhood_blocking.compact_neighborhood_blocking`)
+    share one BFS per (graph, vertex, k). Like every cached value the
+    table is shared by reference: read it, never mutate it. Callers
+    that get ``None`` compute the neighborhoods they need one vertex
+    at a time.
+    """
+    key = _extremum_key(graph, k, None)
+    if key is None or not cache_enabled():
+        return None
+    return cached(
+        "radii.neighborhoods",
+        key,
+        lambda: {v: compact_neighborhood(graph, v, k) for v in graph.vertices()},
+    )
+
+
 def min_radius(
     graph: FiniteGraph, k: int, sample: int | None = None, seed: int = 0
 ) -> float:
@@ -69,59 +99,43 @@ def min_radius(
             estimate for large graphs); ``None`` means exact.
         seed: sampling seed.
 
-    Exact values on graphs with a :meth:`cache_key` are memoized in the
-    construction cache (one BFS per vertex is the sweep's dominant
-    analysis cost).
+    One view of :func:`radius_extrema`, which memoizes exact values.
     """
-
-    def build() -> float:
-        values = (
-            vertex_radius(graph, v, k)
-            for v in _resolve_vertices(graph, sample, seed)
-        )
-        try:
-            return min(values)
-        except ValueError:
-            raise AnalysisError("graph has no vertices") from None
-
-    return cached("radii.min", _extremum_key(graph, k, sample), build)
+    return radius_extrema(graph, k, sample=sample, seed=seed)[0]
 
 
 def max_radius(
     graph: FiniteGraph, k: int, sample: int | None = None, seed: int = 0
 ) -> float:
-    """``r^+(k)``: the largest k-radius over the graph."""
-
-    def build() -> float:
-        values = (
-            vertex_radius(graph, v, k)
-            for v in _resolve_vertices(graph, sample, seed)
-        )
-        try:
-            return max(values)
-        except ValueError:
-            raise AnalysisError("graph has no vertices") from None
-
-    return cached("radii.max", _extremum_key(graph, k, sample), build)
+    """``r^+(k)``: the largest k-radius over the graph (the other view
+    of :func:`radius_extrema`)."""
+    return radius_extrema(graph, k, sample=sample, seed=seed)[1]
 
 
 def radius_extrema(
     graph: FiniteGraph, k: int, sample: int | None = None, seed: int = 0
 ) -> tuple[float, float]:
-    """``(r^-(k), r^+(k))`` in one pass."""
+    """``(r^-(k), r^+(k))`` in one pass.
+
+    Exact values on graphs with a :meth:`cache_key` read the radii from
+    :func:`neighborhood_table` and are memoized in the construction
+    cache (one BFS per vertex is the sweep's dominant analysis cost).
+    Sampled estimates and graphs without a key take one BFS per
+    evaluated vertex and are never cached.
+    """
 
     def build() -> tuple[float, float]:
-        lo = math.inf
-        hi = -math.inf
-        seen = False
-        for v in _resolve_vertices(graph, sample, seed):
-            r = vertex_radius(graph, v, k)
-            lo = min(lo, r)
-            hi = max(hi, r)
-            seen = True
-        if not seen:
+        table = neighborhood_table(graph, k) if sample is None else None
+        if table is not None:
+            radii = [nbhd.radius for nbhd in table.values()]
+        else:
+            radii = [
+                vertex_radius(graph, v, k)
+                for v in _resolve_vertices(graph, sample, seed)
+            ]
+        if not radii:
             raise AnalysisError("graph has no vertices")
-        return lo, hi
+        return min(radii), max(radii)
 
     return cached("radii.extrema", _extremum_key(graph, k, sample), build)
 

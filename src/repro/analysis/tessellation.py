@@ -24,7 +24,7 @@ import itertools
 import math
 from typing import Iterator
 
-from repro.analysis.theory import smallest_prime_at_least
+from repro.analysis.theory import integer_root, smallest_prime_at_least
 from repro.errors import AnalysisError
 from repro.typing import Coord
 
@@ -178,27 +178,15 @@ def sheared_side(block_size: int, dim: int) -> int:
     when the lcm itself is too large)."""
     if block_size < 1:
         raise AnalysisError(f"block size must be >= 1, got {block_size}")
-    side = _integer_root(block_size, dim)
+    if dim < 1:
+        raise AnalysisError(f"dim must be >= 1, got {dim}")
+    side = integer_root(block_size, dim)
     if dim == 1:
         return side
     lcm = shear_lcm(dim)
     if side >= lcm:
         return (side // lcm) * lcm
     return side
-
-
-def _integer_root(value: int, degree: int) -> int:
-    """``floor(value ** (1/degree))`` computed exactly."""
-    if value < 1:
-        raise AnalysisError(f"value must be >= 1, got {value}")
-    if degree == 1:
-        return value
-    root = int(round(value ** (1.0 / degree)))
-    while root ** degree > value:
-        root -= 1
-    while (root + 1) ** degree <= value:
-        root += 1
-    return max(root, 1)
 
 
 def complex_degree(tess: Tessellation, corner: Coord) -> int:

@@ -27,6 +27,22 @@ def lg(x: float) -> float:
     return math.log2(x)
 
 
+def integer_root(value: int, degree: int) -> int:
+    """``floor(value ** (1/degree))``, exact for ``value >= 0`` and
+    ``degree >= 1``: the float root is only a first guess, corrected by
+    integer powers. Callers check their own inputs first.
+
+    The cube side ``floor(B^(1/d))`` of the grid blockings and the
+    corridor width of the grid adversaries.
+    """
+    root = int(round(value ** (1.0 / degree)))
+    while root ** degree > value:
+        root -= 1
+    while (root + 1) ** degree <= value:
+        root += 1
+    return root
+
+
 def smallest_prime_at_least(n: int) -> int:
     """The smallest prime ``p >= n`` (Chebyshev/Bertrand: ``p < 2n``).
 

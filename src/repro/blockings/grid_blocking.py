@@ -29,6 +29,7 @@ from repro.analysis.tessellation import (
     UniformTessellation,
     sheared_side,
 )
+from repro.analysis.theory import integer_root
 from repro.core.blocking import ImplicitBlocking, Members
 from repro.blockings.union import UnionBlocking
 from repro.errors import BlockingError
@@ -122,14 +123,9 @@ def grid_block_side(block_size: int, dim: int) -> int:
     """``floor(B^(1/d))`` — the cube side used by the offset blockings."""
     if block_size < 1:
         raise BlockingError(f"block size must be >= 1, got {block_size}")
-    side = int(round(block_size ** (1.0 / dim)))
-    while side ** dim > block_size:
-        side -= 1
-    while (side + 1) ** dim <= block_size:
-        side += 1
-    if side < 1:
-        raise BlockingError(f"B={block_size} too small for dimension {dim}")
-    return side
+    if dim < 1:
+        raise BlockingError(f"dim must be >= 1, got {dim}")
+    return integer_root(block_size, dim)
 
 
 def offset_grid_blocking(

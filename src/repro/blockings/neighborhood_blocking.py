@@ -32,7 +32,7 @@ from repro.analysis.ballcover import (
     vertex_cover_2approx,
 )
 from repro.analysis.neighborhoods import compact_neighborhood
-from repro.analysis.radii import min_radius
+from repro.analysis.radii import min_radius, neighborhood_table
 from repro.cache import cached
 from repro.core.blocking import Blocking, ExplicitBlocking
 from repro.core.memory import Memory
@@ -48,15 +48,21 @@ def compact_neighborhood_blocking(
     """Blocks are compact B-neighborhoods of the given centers
     (default: every vertex — the Lemma 13 blocking).
 
-    Block ids are ``("nbhd", center)``.
+    Block ids are ``("nbhd", center)``. Each neighborhood comes from
+    the cached :func:`~repro.analysis.radii.neighborhood_table` at
+    ``k = B`` (the table ``r^-(B)`` is read from) when there is one;
+    otherwise the center takes its own BFS.
     """
     center_list = list(centers) if centers is not None else list(graph.vertices())
     if not center_list:
         raise BlockingError("no centers given")
-    blocks = {
-        ("nbhd", c): compact_neighborhood(graph, c, block_size).vertices
-        for c in center_list
-    }
+    table = neighborhood_table(graph, block_size) or {}
+    blocks: dict[BlockId, frozenset[Vertex]] = {}
+    for c in center_list:
+        nbhd = table.get(c)
+        if nbhd is None:
+            nbhd = compact_neighborhood(graph, c, block_size)
+        blocks[("nbhd", c)] = nbhd.vertices
     blocking = ExplicitBlocking(block_size, blocks, universe_size=len(graph))
     if not blocking.covers(graph.vertices()):
         raise BlockingError(

@@ -7,7 +7,7 @@ and every one of those is a pure function of ``(graph class, params)``.
 This module gives them one shared, bounded memo:
 
 * an in-memory LRU keyed by ``(kind, key)`` — ``kind`` names the
-  construction ("graph", "radii.min", "ballcover.packing", ...), and
+  construction ("graph", "radii.extrema", "ballcover.packing", ...), and
   ``key`` is a hashable tuple of the parameters that determine the
   result (for graph-derived constructions, the graph's
   :meth:`~repro.graphs.base.Graph.cache_key` plus the remaining

@@ -202,6 +202,12 @@ class TestCorridor:
         with pytest.raises(AdversaryError):
             GridCorridorAdversary(2, 16, 32, width=0)
 
+    @pytest.mark.parametrize("block_size", [0, -4])
+    def test_block_size_below_one_rejected(self, block_size):
+        """floor(0^(1/d)) is 0: no corridor, not a width-1 one."""
+        with pytest.raises(AdversaryError):
+            GridCorridorAdversary(2, block_size, 128)
+
 
 def reference_target(adversary, pathfront, view):
     """The corridor target by the per-cell scan: every cell of every
@@ -288,6 +294,72 @@ class TestCorridorTarget:
         # in product order wins.
         memory.load(make_block("own", {(5, 1, 1)}, 27))
         assert adversary._find_target((5, 1, 1), view) == (5, 0, 1)
+
+
+@st.composite
+def corridor_games(draw):
+    """One corridor adversary and a sequence of (pathfront, memory)
+    states for it. Pathfronts draw their cross coordinates from a pool
+    of at most three positions, so later states reuse the orders the
+    earlier ones cached; ``reset()`` may fall between states."""
+    dim = draw(st.integers(1, 3), label="dim")
+    block_size = {1: 8, 2: 16, 3: 27}[dim]
+    kind = draw(st.sampled_from(["tiles", "balls"]), label="blocking")
+    if kind == "tiles":
+        blocking = offset_grid_blocking(dim, block_size)
+    else:
+        blocking = grid_lemma13_blocking(dim, block_size)
+    memory_size = 3 * block_size
+    model = draw(st.sampled_from([PagingModel.WEAK, PagingModel.STRONG]))
+    base = draw(st.tuples(*[st.integers(-3, 3)] * dim), label="base")
+    cls = draw(st.sampled_from([GridCorridorAdversary, DiagonalCorridorAdversary]))
+    adversary = cls(dim, block_size, memory_size, base=base)
+    horizon = draw(st.one_of(st.none(), st.integers(1, 4)), label="horizon")
+    if horizon is not None:
+        adversary._horizon = horizon  # small enough that a scan can fail
+    width = adversary.width
+    crosses = st.tuples(*[st.integers(b - 2, b + width + 1) for b in base[1:]])
+    pool = draw(st.lists(crosses, min_size=1, max_size=3), label="cross pool")
+    near = st.tuples(
+        st.integers(base[0] - 2, base[0] + 6),
+        *[st.integers(b - 2, b + width + 1) for b in base[1:]],
+    )
+    states = []
+    for _ in range(draw(st.integers(2, 6), label="states")):
+        x = draw(st.integers(base[0] - 2, base[0] + 6), label="x")
+        pathfront = (x,) + draw(st.sampled_from(pool), label="cross")
+        memory = make_memory(ModelParams(block_size, memory_size, model))
+        for cell in draw(st.lists(near, max_size=3), label="blocks at"):
+            candidates = blocking.blocks_for(cell)
+            bid = candidates[draw(st.integers(0, len(candidates) - 1))]
+            if isinstance(memory, WeakMemory) and memory.is_resident(bid):
+                continue
+            memory.load(blocking.block(bid))
+        reset = draw(st.booleans(), label="reset before")
+        states.append((reset, pathfront, MemoryView(memory, SearchTrace())))
+    return adversary, states
+
+
+class TestCorridorOrderReuse:
+    """An adversary kept across searches orders each cross position
+    once and still finds the per-cell scan's target every time."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(game=corridor_games())
+    def test_every_search_matches_the_per_cell_scan(self, game):
+        adversary, states = game
+        for reset, pathfront, view in states:
+            if reset:
+                adversary.reset()
+            try:
+                expected = reference_target(adversary, pathfront, view)
+            except AdversaryError:
+                with pytest.raises(AdversaryError):
+                    adversary._find_target(pathfront, view)
+            else:
+                assert adversary._find_target(pathfront, view) == expected
+        searched = {pathfront[1:] for _, pathfront, _ in states}
+        assert set(adversary._orders) == searched
 
 
 class TestRootLeaf:

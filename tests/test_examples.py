@@ -8,6 +8,7 @@ captured — full-scale, so the module is marked slow (deselect with
 import importlib.util
 import io
 import sys
+import textwrap
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -26,6 +27,20 @@ def run_example(name: str) -> str:
     with redirect_stdout(buffer):
         module.main()
     return buffer.getvalue()
+
+
+def docstring_quickstart() -> str:
+    """The indented ``::`` block after "Quickstart" in ``help(repro)``."""
+    import repro
+
+    _, found, rest = repro.__doc__.partition("Quickstart::\n")
+    assert found, "the package docstring has no Quickstart block"
+    block = []
+    for line in rest.splitlines():
+        if line and not line.startswith(" "):
+            break
+        block.append(line)
+    return textwrap.dedent("\n".join(block))
 
 
 class TestExamples:
@@ -64,3 +79,16 @@ class TestExamples:
         out = run_example("constraint_search")
         assert "queens search tree" in out
         assert "overlapped" in out
+
+
+class TestPackageDocstring:
+    def test_quickstart_runs(self):
+        """The code ``help(repro)`` shows imports only names that exist
+        and prints what its comments promise."""
+        code = docstring_quickstart()
+        buffer = io.StringIO()
+        with redirect_stdout(buffer):
+            exec(compile(code, "repro.__doc__ Quickstart", "exec"), {})
+        speedup, min_gap = buffer.getvalue().split()
+        assert 2 <= float(speedup) <= 16
+        assert int(min_gap) >= 2

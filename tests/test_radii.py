@@ -1,10 +1,18 @@
 """k-radii and their structural lemmas (Lemmas 3-6, Definitions 4-5, 7)."""
 
+import collections
+import contextlib
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro import AnalysisError
+import repro.analysis.radii as radii_module
+import repro.blockings.neighborhood_blocking as neighborhood_blocking
+import repro.cache as cache_module
+from repro import AnalysisError, BlockingError
 from repro.analysis import (
     max_ball_volume,
     max_radius,
@@ -14,7 +22,10 @@ from repro.analysis import (
     uniformity_ratio,
     vertex_radius,
 )
+from repro.analysis.neighborhoods import compact_neighborhood
 from repro.analysis.theory import grid_radius_exact
+from repro.blockings import compact_neighborhood_blocking
+from repro.experiments.table1 import general_rows
 from repro.graphs import (
     AdjacencyGraph,
     CompleteTree,
@@ -150,3 +161,115 @@ class TestBallVolumes:
         for k in (5, 10, 20):
             r = int(vertex_radius(g, (4, 4), k))
             assert ball_volume(g, (4, 4), r - 1) <= k
+
+
+@contextlib.contextmanager
+def construction_cache(enabled: bool):
+    """A fresh global construction cache, on or off, for one block."""
+    old = cache_module._config
+    cache_module._config = cache_module._CacheConfig(enabled=enabled)
+    try:
+        yield cache_module._config.cache
+    finally:
+        cache_module._config = old
+
+
+@st.composite
+def small_graphs(draw):
+    """A graph on 1-9 vertices in a drawn order with drawn edges; either
+    tagged with a cache key stating all of that, or hand-built without
+    one."""
+    n = draw(st.integers(1, 9), label="n")
+    order = draw(st.permutations(range(n)), label="vertex order")
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = []
+    if pairs:
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True), label="edges")
+    graph = AdjacencyGraph(order)
+    for u, v in edges:
+        graph.add_edge(u, v)
+    if draw(st.booleans(), label="tagged"):
+        graph.tag_cache_key(("drawn", tuple(order), tuple(edges)))
+    return graph
+
+
+def reference_extrema(graph, k, sample=None, seed=0):
+    """``(r^-(k), r^+(k))`` by the per-vertex loop: one BFS per
+    (sampled) vertex, nothing cached."""
+    vertices = list(graph.vertices())
+    if sample is not None and sample < len(vertices):
+        vertices = random.Random(seed).sample(vertices, sample)
+    values = [compact_neighborhood(graph, v, k).radius for v in vertices]
+    return min(values), max(values)
+
+
+class TestOneNeighborhoodTable:
+    """The k-radii and the compact-neighborhood blocks read one cached
+    table of neighborhoods, and equal what one BFS per vertex gives,
+    with the cache on or off, exact or sampled, in either call order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph=small_graphs(), data=st.data())
+    def test_radii_and_blocks_equal_the_per_vertex_loop(self, graph, data):
+        n = len(graph)
+        k = data.draw(st.integers(1, n + 1), label="k")
+        sample = data.draw(st.one_of(st.none(), st.integers(1, n + 1)), label="sample")
+        seed = data.draw(st.integers(0, 3), label="seed")
+        centers = data.draw(
+            st.one_of(st.none(), st.lists(st.sampled_from(list(graph.vertices())),
+                                          min_size=1, unique=True)),
+            label="centers",
+        )
+        enabled = data.draw(st.booleans(), label="cache on")
+        blocks_first = data.draw(st.booleans(), label="blocks first")
+
+        extrema = reference_extrema(graph, k, sample, seed)
+        center_list = list(graph.vertices()) if centers is None else centers
+        blocks = {
+            ("nbhd", c): compact_neighborhood(graph, c, k).vertices for c in center_list
+        }
+        covering = set().union(*blocks.values()) == set(graph.vertices())
+
+        def check_radii():
+            assert radius_extrema(graph, k, sample=sample, seed=seed) == extrema
+            assert min_radius(graph, k, sample=sample, seed=seed) == extrema[0]
+            assert max_radius(graph, k, sample=sample, seed=seed) == extrema[1]
+
+        def check_blocks():
+            if not covering:
+                with pytest.raises(BlockingError):
+                    compact_neighborhood_blocking(graph, k, centers)
+                return
+            blocking = compact_neighborhood_blocking(graph, k, centers)
+            got = {bid: blocking.block(bid).vertices for bid in blocking.block_ids()}
+            assert list(got) == list(blocks)
+            assert got == blocks
+
+        checks = [check_radii, check_blocks]
+        if blocks_first:
+            checks.reverse()
+        with construction_cache(enabled) as cache:
+            for _ in range(2):  # the second round reads what the first cached
+                for check in checks:
+                    check()
+            key = (graph.cache_key(), k)
+            cacheable = enabled and graph.cache_key() is not None
+            assert (("radii.neighborhoods", key) in cache) == cacheable
+            assert (("radii.extrema", key) in cache) == (cacheable and sample is None)
+
+    def test_general_cell_computes_each_neighborhood_once(self, monkeypatch):
+        """One ``general_rows`` run: the r^-/r^+ at k = B and k = M, the
+        Lemma 13 blocks and the Theorem 4 centers' blocks take one BFS
+        per (graph, vertex, k) between them."""
+        calls = collections.Counter()
+
+        def counting(graph, center, k):
+            calls[(graph.cache_key(), center, k)] += 1
+            return compact_neighborhood(graph, center, k)
+
+        monkeypatch.setattr(radii_module, "compact_neighborhood", counting)
+        monkeypatch.setattr(neighborhood_blocking, "compact_neighborhood", counting)
+        with construction_cache(True):
+            general_rows(num_steps=200)
+        assert len(calls) == 2 * 512  # k = B and k = M, 512 vertices each
+        assert set(calls.values()) == {1}

@@ -22,6 +22,29 @@ class TestPrimes:
             assert n <= theory.smallest_prime_at_least(n) < 2 * n
 
 
+class TestIntegerRoot:
+    """One exact ``floor(B^(1/d))`` behind the grid blockings' cube
+    side, the sheared side and the corridor width."""
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
+    def test_exact_at_and_around_powers(self, degree):
+        assert theory.integer_root(0, degree) == 0
+        for root in [*range(1, 60), 10**6, 2**40 + 1]:
+            for value in (root**degree - 1, root**degree, root**degree + 1):
+                found = theory.integer_root(value, degree)
+                assert found**degree <= value < (found + 1) ** degree
+
+    def test_callers_reject_a_dimension_below_one(self):
+        from repro import BlockingError
+        from repro.analysis.tessellation import sheared_side
+        from repro.blockings import grid_block_side
+
+        with pytest.raises(BlockingError):
+            grid_block_side(64, 0)
+        with pytest.raises(AnalysisError):
+            sheared_side(64, 0)
+
+
 class TestGridVolumes:
     def test_matches_brute_force(self):
         """The recurrence equals a brute-force lattice count."""
