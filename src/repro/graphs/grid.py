@@ -30,6 +30,8 @@ def _axis_moves(coord: Coord) -> list[Coord]:
     the 1-D and 2-D cases — the bulk of the experiments — are built
     literally, higher dimensions with one slice pair per axis. The
     ordering is part of the contract: seeded adversaries index into it.
+    ``InfiniteGridGraph.neighbors`` builds the same four 2-D moves in
+    its own frame and calls this only for other dimensions.
     """
     if len(coord) == 2:
         x, y = coord
@@ -48,6 +50,13 @@ def _axis_moves(coord: Coord) -> list[Coord]:
 
 
 def _is_coord(vertex: Vertex, dim: int) -> bool:
+    """A ``tuple`` (namedtuples too) of ``dim`` components, each an
+    ``int`` by ``isinstance`` (``bool`` too).
+
+    One loop for every dimension; ``InfiniteGridGraph.neighbors`` and
+    ``has_edge`` test a 2-D coordinate in their own frames by the same
+    rules.
+    """
     if not isinstance(vertex, tuple) or len(vertex) != dim:
         return False
     for c in vertex:
@@ -60,9 +69,11 @@ def _unit_apart(u: Vertex, v: Vertex, dim: int) -> bool:
     """``_is_coord(u, dim) and _is_coord(v, dim) and l1_distance(u, v) == 1``
     in one pass over the coordinates.
 
-    Hot path: the engine checks every move of a walk with it. Once a
-    component fails its ``isinstance`` test the answer is ``False``
-    whatever the others hold, so stopping there gives the same answer.
+    ``GridGraph.has_edge`` and ``InfiniteGridGraph.has_edge`` for
+    d != 2 call it; the infinite 2-D grid writes the same test out in
+    its own frame. Once a component fails its ``isinstance`` test the
+    answer is ``False`` whatever the others hold, so stopping there
+    gives the same answer.
     """
     if (
         not (isinstance(u, tuple) and isinstance(v, tuple))
@@ -91,6 +102,14 @@ class InfiniteGridGraph(Graph):
         return self._dim
 
     def neighbors(self, vertex: Vertex) -> list[Coord]:
+        """The ``2d`` axis moves in ``_axis_moves`` order. A 2-D
+        integer tuple gets its four moves in this frame (every adversary
+        step and every policy BFS vertex asks); anything else goes
+        through ``_is_coord`` and, to raise ``GraphError``, ``_check``."""
+        if self._dim == 2 and isinstance(vertex, tuple) and len(vertex) == 2:
+            x, y = vertex
+            if isinstance(x, int) and isinstance(y, int):
+                return [(x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)]
         if not _is_coord(vertex, self._dim):
             self._check(vertex)  # raises
         return _axis_moves(vertex)
@@ -99,7 +118,27 @@ class InfiniteGridGraph(Graph):
         return _is_coord(vertex, self._dim)
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
-        """O(d) arithmetic in one pass — no neighbor list is materialized."""
+        """O(d) arithmetic in one pass — no neighbor list is materialized.
+        The engine checks every move of a validated walk here, so the
+        2-D case unpacks both endpoints and tests the four components
+        and the gap in this frame, by ``_unit_apart``'s rules; other
+        dimensions call ``_unit_apart``."""
+        if self._dim == 2:
+            if (
+                not (isinstance(u, tuple) and isinstance(v, tuple))
+                or len(u) != 2
+                or len(v) != 2
+            ):
+                return False
+            a, b = u
+            c, d = v
+            return (
+                isinstance(a, int)
+                and isinstance(b, int)
+                and isinstance(c, int)
+                and isinstance(d, int)
+                and abs(a - c) + abs(b - d) == 1
+            )
         return _unit_apart(u, v, self._dim)
 
     def degree(self, vertex: Vertex) -> int:

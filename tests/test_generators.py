@@ -1,9 +1,14 @@
 """Graph generators."""
 
+import random
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import GraphError
 from repro.graphs import (
+    AdjacencyGraph,
     complete_graph,
     cycle_graph,
     hypercube_graph,
@@ -93,6 +98,34 @@ class TestRandomFamilies:
         with pytest.raises(GraphError):
             random_regular_graph(4, 4, seed=0)
 
+    def test_regular_graph_keeps_the_general_cells_graph(self):
+        # Table 1's general cell: 58 shuffles before a simple graph.
+        graph, shuffles = _loop_random_regular_graph(512, 4, 7)
+        assert shuffles == 58
+        assert _adjacency(random_regular_graph(512, 4, seed=7)) == _adjacency(graph)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        params=st.integers(2, 5).flatmap(
+            lambda degree: st.tuples(st.integers(degree + 1, 16), st.just(degree))
+        ),
+        seed=st.integers(0, 2**32),
+    )
+    @example(params=(10, 4), seed=0)  # 6 shuffles
+    @example(params=(16, 2), seed=1)  # 7 shuffles
+    @example(params=(6, 5), seed=0)  # K6 only: 1000 shuffles, then GraphError
+    def test_regular_graph_matches_loop_generator(self, params, seed):
+        # Most draws need several shuffles (for degree >= 3 nearly all).
+        n, degree = params
+        if n * degree % 2:
+            n += 1
+        graph, _ = _loop_random_regular_graph(n, degree, seed)
+        if graph is None:
+            with pytest.raises(GraphError):
+                random_regular_graph(n, degree, seed=seed)
+        else:
+            assert _adjacency(random_regular_graph(n, degree, seed=seed)) == _adjacency(graph)
+
     def test_random_tree_is_tree(self):
         g = random_tree(40, seed=2)
         assert g.num_edges() == 39
@@ -106,3 +139,32 @@ class TestRandomFamilies:
         a = random_tree(25, seed=4)
         b = random_tree(25, seed=4)
         assert sorted(map(sorted, a.edges())) == sorted(map(sorted, b.edges()))
+
+
+def _adjacency(graph):
+    """Every vertex's neighbor list, in the graph's own order."""
+    return [(v, list(graph.neighbors(v))) for v in graph.vertices()]
+
+
+def _loop_random_regular_graph(n, degree, seed):
+    """``random_regular_graph``'s pairing loop as it was before the stub
+    list was prebuilt, kept as the reference: the graph (``None`` after
+    1000 failed shuffles) and the number of shuffles it took."""
+    rng = random.Random(seed)
+    for attempt in range(1, 1001):
+        stubs = [v for v in range(n) for _ in range(degree)]
+        rng.shuffle(stubs)
+        edges = set()
+        ok = True
+        for i in range(0, len(stubs), 2):
+            u, v = stubs[i], stubs[i + 1]
+            if u == v or (min(u, v), max(u, v)) in edges:
+                ok = False
+                break
+            edges.add((min(u, v), max(u, v)))
+        if not ok:
+            continue
+        graph = AdjacencyGraph.from_edges(edges, vertices=range(n))
+        if is_connected(graph):
+            return graph, attempt
+    return None, 1000
