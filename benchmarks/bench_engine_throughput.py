@@ -22,7 +22,8 @@ from repro.blockings import (
     uniform_grid_blocking,
 )
 from repro.graphs import CompleteTree, InfiniteDiagonalGridGraph, InfiniteGridGraph
-from repro.obs import Instrumentation, JsonlSink, replay_file, verify_run
+from repro.obs import Instrumentation, JsonlSink
+from repro.obs.replay import replay_file, verify_run
 
 
 def test_throughput_s1_random_walk(benchmark):
@@ -54,25 +55,28 @@ def test_throughput_s1_random_walk_validated(benchmark):
 
 def test_throughput_s1_random_walk_traced(benchmark, tmp_path):
     """The same walk under a JSONL-writing hook: its time over the plain
-    walk's is the instrumented/uninstrumented ratio."""
+    walk's is the instrumented/uninstrumented ratio. Each round rewrites
+    the trace through its own sink and searcher (a closed sink takes no
+    more events); the blocking and the adversary are shared."""
     graph = InfiniteGridGraph(2)
     path = tmp_path / "walk.jsonl"
-    instrumentation = Instrumentation(sink=JsonlSink(path))
-    searcher = Searcher(
-        graph,
-        uniform_grid_blocking(2, 64),
-        FirstBlockPolicy(),
-        ModelParams(64, 256),
-        validate_moves=False,
-        instrumentation=instrumentation,
-    )
+    blocking = uniform_grid_blocking(2, 64)
     adversary = RandomWalkAdversary(graph, (0, 0), seed=1)
 
     def traced_walk():
+        instrumentation = Instrumentation(sink=JsonlSink(path))
+        searcher = Searcher(
+            graph,
+            blocking,
+            FirstBlockPolicy(),
+            ModelParams(64, 256),
+            validate_moves=False,
+            instrumentation=instrumentation,
+        )
         try:
             return searcher.run_adversary(adversary, 5_000)
         finally:
-            instrumentation.close()  # each round rewrites the trace
+            instrumentation.close()
 
     trace = benchmark(traced_walk)
     assert trace.steps == 5_000

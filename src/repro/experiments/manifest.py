@@ -16,7 +16,9 @@ full line list and publishes it with the :mod:`repro.cache` tempfile +
 ``os.replace`` idiom (:func:`~repro.cache.atomic_write_text`), so a
 reader (or a resuming campaign) sees a complete, parseable journal no
 matter when the writing process was killed. As a second line of
-defense, :func:`load_manifest` tolerates a torn trailing line, so a
+defense, :func:`load_manifest` reads with the shared JSONL reader
+(:func:`repro.obs.sinks.read_journal`), which drops a torn final
+append (a last line with no newline that does not decode), so a
 manifest produced by a plain-append writer is also recoverable.
 
 ``done`` records carry the cell's results in the exact wire form of
@@ -48,6 +50,7 @@ from repro.experiments.io import (
     game_to_dict,
 )
 from repro.experiments.table1 import CellSpec
+from repro.obs.sinks import read_journal
 
 MANIFEST_SCHEMA = 1
 
@@ -57,6 +60,11 @@ _TERMINAL = ("done",)
 
 class ManifestError(ReproError):
     """An unreadable, inconsistent, or mismatched campaign manifest."""
+
+
+def _encode(record: Mapping[str, Any]) -> str:
+    """A record's journal line (no newline)."""
+    return json.dumps(record, sort_keys=True)
 
 
 def _describe(value: Any) -> Any:
@@ -152,8 +160,10 @@ class CellState:
 class Manifest:
     """A parsed campaign journal: header plus folded per-cell states.
 
-    ``lines`` keeps the journal's decoded lines verbatim (a torn final
-    line excluded), so a resumed writer continues the same bytes.
+    ``lines`` holds each decoded record as :class:`ManifestWriter`
+    encodes it (a torn final append excluded): for a journal that
+    writer wrote, its lines byte for byte, so a resumed writer
+    continues the same bytes.
     """
 
     path: Path
@@ -206,32 +216,12 @@ class Manifest:
 def load_manifest(path: str | Path) -> Manifest:
     """Parse a manifest journal, folding cell records into latest state.
 
-    A torn trailing line (a non-atomic writer killed mid-append) is
-    tolerated and ignored; corruption anywhere else raises
-    :class:`ManifestError`.
+    A torn final append (a non-atomic writer killed mid-line) is
+    ignored; any other line that is not one JSON object raises
+    :class:`ManifestError` naming it.
     """
     path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
-    lines = raw.splitlines()
-    kept: list[str] = []
-    records: list[dict] = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if lineno == len(lines):
-                break  # torn final append: everything before it is valid
-            raise ManifestError(
-                f"manifest {path} is corrupt at line {lineno}: {exc}"
-            ) from exc
-        kept.append(line)
-        records.append(record)
+    records = read_journal(path, dict, ManifestError)
     if not records:
         raise ManifestError(f"manifest {path} is empty")
     header = records[0]
@@ -252,7 +242,7 @@ def load_manifest(path: str | Path) -> Manifest:
         names=[c["name"] for c in cells],
         kinds=[c["kind"] for c in cells],
         meta=dict(header.get("meta", {})),
-        lines=kept,
+        lines=[_encode(record) for record in records],
     )
     for record in records[1:]:
         if record.get("record") != "cell":
@@ -324,7 +314,7 @@ class ManifestWriter:
 
     def append(self, record: Mapping[str, Any]) -> None:
         """Append one record and commit the journal atomically."""
-        self._lines.append(json.dumps(record, sort_keys=True))
+        self._lines.append(_encode(record))
         atomic_write_text(self.path, "\n".join(self._lines) + "\n")
 
     # -- cell transitions -------------------------------------------------

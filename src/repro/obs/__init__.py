@@ -18,6 +18,10 @@ Four pieces, all opt-in and zero-overhead when unconfigured:
   trajectory, and ``python -m repro.obs.replay`` to reconstruct,
   verify, visualize, and diff JSONL traces.
 
+The command-line modules (replay, forensics, report, benchwatch) are
+not imported here, so ``python -m`` runs each of them once: import
+their names from the module itself.
+
 Quickstart::
 
     from repro.obs import Instrumentation, JsonlSink, MetricsRegistry
@@ -55,17 +59,6 @@ from repro.obs.events import (
     event_from_dict,
 )
 from repro.obs.instrument import Instrumentation, InstrumentationHook
-from repro.obs.forensics import (
-    FORENSICS_SCHEMA,
-    RunRecord,
-    StackResult,
-    analyze_trace,
-    block_ledger,
-    fold_forensics_metrics,
-    scan_trace,
-    stack_distances,
-    taxonomy,
-)
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -78,16 +71,6 @@ from repro.obs.profiling import (
     SweepProgress,
     bench_rollup,
     write_bench_json,
-)
-from repro.obs.replay import (
-    ReplayedRun,
-    diff_runs,
-    diff_traces,
-    fault_timeline,
-    gap_histogram_ascii,
-    replay_events,
-    replay_file,
-    verify_run,
 )
 from repro.obs.sinks import (
     CompositeSink,
@@ -110,7 +93,6 @@ from repro.obs.spans import (
 
 __all__ = [
     "EVENT_TYPES",
-    "FORENSICS_SCHEMA",
     "BlockReadEvent",
     "CampaignEvent",
     "CampaignResumeEvent",
@@ -132,46 +114,30 @@ __all__ = [
     "MetricsRegistry",
     "NullSink",
     "PhaseProfiler",
-    "ReplayedRun",
     "RetryEvent",
     "RingBufferSink",
     "RunEndEvent",
-    "RunRecord",
     "RunStartEvent",
     "ServiceRequestEvent",
     "ServiceShedEvent",
     "ShardMergedEvent",
     "ShardRecorder",
     "ShardRef",
-    "StackResult",
     "StepEvent",
     "SweepProgress",
     "TraceEvent",
     "TraceFooterEvent",
     "TraceSink",
     "WorkerDeathEvent",
-    "analyze_trace",
     "bench_rollup",
-    "block_ledger",
     "current_instrumentation",
-    "diff_runs",
-    "diff_traces",
     "event_from_dict",
-    "fault_timeline",
-    "fold_forensics_metrics",
-    "gap_histogram_ascii",
     "merge_shard_metrics",
     "merge_shards",
     "read_jsonl",
     "read_shard",
-    "replay_events",
-    "replay_file",
-    "scan_trace",
     "shard_paths",
     "span_id",
-    "stack_distances",
-    "taxonomy",
     "use_instrumentation",
-    "verify_run",
     "write_bench_json",
 ]

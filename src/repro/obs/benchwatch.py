@@ -38,6 +38,7 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from repro.errors import ReproError
+from repro.obs.sinks import read_journal
 
 HISTORY_SCHEMA = 1
 
@@ -131,35 +132,22 @@ def history_record(
     return record
 
 
+def _known_schema(record: dict[str, Any]) -> dict[str, Any]:
+    """One decoded journal line, refused unless its schema is ours."""
+    if record.get("schema") != HISTORY_SCHEMA:
+        raise BenchWatchError(
+            f"unsupported schema {record.get('schema')!r} "
+            f"(expected {HISTORY_SCHEMA})"
+        )
+    return record
+
+
 def load_history(path: str | Path) -> list[dict[str, Any]]:
     """Parse a history journal; a missing file is an empty history and
-    a torn trailing line (killed writer) is dropped."""
-    path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError:
+    a torn final append (killed writer) is dropped."""
+    if not Path(path).exists():
         return []
-    lines = raw.splitlines()
-    records: list[dict[str, Any]] = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if lineno == len(lines):
-                break
-            raise BenchWatchError(
-                f"history {path} is corrupt at line {lineno}: {exc}"
-            ) from exc
-        if record.get("schema") != HISTORY_SCHEMA:
-            raise BenchWatchError(
-                f"history {path} line {lineno}: unsupported schema "
-                f"{record.get('schema')!r} (expected {HISTORY_SCHEMA})"
-            )
-        records.append(record)
-    return records
+    return read_journal(path, _known_schema, BenchWatchError)
 
 
 def _check_appendable(

@@ -20,7 +20,7 @@ runs in a merged campaign trace) and ``trace_footer`` (the closing
 completeness statement of any finished trace).
 
 Events are plain frozen dataclasses with a stable wire form
-(:meth:`TraceEvent.to_json` / :func:`event_from_line`): one JSON object
+(:meth:`TraceEvent.to_json` / :func:`event_from_dict`): one JSON object
 per event, ``{"event": <kind>, "run": <id>, ...}``, fields in
 declaration order. Each class's :class:`WirePlan`, derived once from its
 dataclass fields, drives both directions. Vertices and block ids are
@@ -33,7 +33,6 @@ int/str/tuple identifiers every substrate in this repository uses.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import MISSING, dataclass, fields
 from typing import Any, Callable, ClassVar, Mapping
 
@@ -75,12 +74,6 @@ def _bind_encoder() -> Callable[[dict[str, Any]], str]:
 
 
 _encode = _bind_encoder()
-
-#: The one wire decoder, bound once: a stripped line skips the type,
-#: BOM and whitespace checks ``json.loads`` makes around each call.
-_RAW_DECODE = json.JSONDecoder().raw_decode
-#: JSON's whitespace, which ``json.loads`` skips before "Extra data".
-_SKIP_WHITESPACE = re.compile(r"[ \t\n\r]*").match
 
 
 def jsonable(value: Any) -> Any:
@@ -554,22 +547,3 @@ def event_from_dict(payload: Mapping[str, Any]) -> TraceEvent:
     if plan is None:
         raise ReproError(f"unknown trace event kind {payload.get('event')!r}")
     return plan.decode(payload)
-
-
-def event_from_line(line: str) -> TraceEvent:
-    """Rebuild an event from one stripped JSONL line.
-
-    Raises what ``json.loads`` raises for text that is not one JSON
-    value (:class:`json.JSONDecodeError`, with the same "Extra data"
-    error when anything follows the value), :class:`ReproError` for a
-    value that is not an object, and whatever :func:`event_from_dict`
-    raises for an object that is not an event.
-    """
-    payload, end = _RAW_DECODE(line)
-    if end != len(line):
-        raise json.JSONDecodeError(
-            "Extra data", line, _SKIP_WHITESPACE(line, end).end()
-        )
-    if type(payload) is not dict:
-        raise ReproError(f"not a JSON object: {line[:60]}")
-    return event_from_dict(payload)

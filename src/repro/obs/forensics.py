@@ -57,14 +57,15 @@ from repro.errors import PagingError, ReproError
 from repro.obs.events import (
     BlockReadEvent,
     EvictionEvent,
-    FaultEvent,
     RunEndEvent,
     RunStartEvent,
     ShardMergedEvent,
     StepEvent,
+    TraceEvent,
     jsonable,
 )
 from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.replay import fold_runs
 from repro.obs.sinks import read_jsonl
 
 FORENSICS_SCHEMA = 1
@@ -110,89 +111,59 @@ class RunRecord:
     error: str | None = None
     touch_tracked: bool = True
     ended: bool = False
-    _pending: bool = False
 
     @property
     def complete(self) -> bool:
         """The run ended cleanly with its final counter snapshot."""
         return self.ended and self.error is None
 
+    @classmethod
+    def start(
+        cls, event: RunStartEvent, shard: ShardMergedEvent | None
+    ) -> "RunRecord":
+        return cls(
+            run=event.run,
+            driver=event.driver,
+            model=event.model,
+            block_size=event.block_size,
+            memory_size=event.memory_size,
+            eviction=event.eviction,
+            cell=None if shard is None else shard.cell,
+        )
 
-def scan_trace(path: str | Path) -> list[RunRecord]:
-    """Fold a JSONL trace into per-run records, in run-id order.
-
-    Campaign events are skipped except ``shard_merged``, whose
-    ``[run_base, run_base + runs)`` range attributes runs to cells in
-    merged traces. Torn runs (no ``run_end``) are kept but marked
-    incomplete; a trailing fault arrival that never saw its
-    ``block_read`` is dropped.
-    """
-    runs: dict[int, RunRecord] = {}
-    shard: ShardMergedEvent | None = None
-    for event in read_jsonl(path):
-        if isinstance(event, ShardMergedEvent):
-            shard = event
-            continue
-        if isinstance(event, RunStartEvent):
-            cell = None
-            if (
-                shard is not None
-                and shard.run_base <= event.run < shard.run_base + shard.runs
-            ):
-                cell = shard.cell
-            runs[event.run] = RunRecord(
-                run=event.run,
-                driver=event.driver,
-                model=event.model,
-                block_size=event.block_size,
-                memory_size=event.memory_size,
-                eviction=event.eviction,
-                cell=cell,
-            )
-            continue
-        rec = runs.get(event.run)
-        if rec is None:
-            continue  # campaign/unknown events share the run-id field
+    def add(self, event: TraceEvent) -> None:
+        """Fold one of the run's events into its arrivals and tallies.
+        An uncovered arrival is recorded at its ``block_read``, so a
+        fault never serviced (the run died, or the trace is torn)
+        leaves no arrival."""
         if isinstance(event, StepEvent):
             if event.blocks is None:
-                rec.touch_tracked = False
+                self.touch_tracked = False
             elif event.blocks:
-                rec.arrivals.append(Arrival(refs=tuple(event.blocks), fault=False))
-            else:
-                rec.arrivals.append(Arrival(refs=(), fault=True))
-                rec._pending = True
-        elif isinstance(event, FaultEvent):
-            if not rec._pending:
-                # The run's first arrival has no step event.
-                rec.arrivals.append(Arrival(refs=(), fault=True))
-                rec._pending = True
+                self.arrivals.append(Arrival(refs=tuple(event.blocks), fault=False))
         elif isinstance(event, BlockReadEvent):
-            rec.block_sizes.setdefault(event.block_id, event.size)
-            rec.read_sequence.append(event.block_id)
-            if rec._pending:
-                rec.arrivals[-1].refs = (event.block_id,)
-                rec._pending = False
-            else:
-                rec.arrivals.append(Arrival(refs=(event.block_id,), fault=True))
+            self.block_sizes.setdefault(event.block_id, event.size)
+            self.read_sequence.append(event.block_id)
+            self.arrivals.append(Arrival(refs=(event.block_id,), fault=True))
         elif isinstance(event, EvictionEvent):
             if event.block_ids is not None:
                 for block_id in event.block_ids:
-                    rec.eviction_counts[block_id] = (
-                        rec.eviction_counts.get(block_id, 0) + 1
+                    self.eviction_counts[block_id] = (
+                        self.eviction_counts.get(block_id, 0) + 1
                     )
         elif isinstance(event, RunEndEvent):
-            rec.observed_faults = int(event.trace.get("faults", 0))
-            rec.observed_steps = int(event.trace.get("steps", 0))
-            rec.error = event.error
-            rec.ended = True
-            if rec._pending:
-                rec.arrivals.pop()  # the run died mid-fault
-                rec._pending = False
-    for rec in runs.values():
-        if rec._pending:
-            rec.arrivals.pop()  # torn trace: trailing half-serviced fault
-            rec._pending = False
-    return [runs[run_id] for run_id in sorted(runs)]
+            self.observed_faults = int(event.trace.get("faults", 0))
+            self.observed_steps = int(event.trace.get("steps", 0))
+            self.error = event.error
+            self.ended = True
+
+
+def scan_trace(path: str | Path) -> list[RunRecord]:
+    """Fold a JSONL trace into per-run records, in run-id order
+    (:func:`~repro.obs.replay.fold_runs`, which attributes the runs of a
+    merged trace to their cells). Torn runs (no ``run_end``) are kept
+    but marked incomplete."""
+    return fold_runs(read_jsonl(path), RunRecord.start, RunRecord.add).runs
 
 
 # -- stack-distance analysis --------------------------------------------
@@ -520,7 +491,11 @@ def analyze_trace(path: str | Path) -> dict[str, Any]:
     The document is pure data (no paths, no clocks): serializing it
     with :func:`to_json` is byte-stable for byte-identical traces.
     """
-    records = scan_trace(path)
+    return document(scan_trace(path))
+
+
+def document(records: Sequence[RunRecord]) -> dict[str, Any]:
+    """The forensics document of a trace's scanned run records."""
     runs = [run_report(rec) for rec in records]
     ledger = [row for rec in records for row in block_ledger(rec)]
     totals: dict[str, Any] = {

@@ -27,7 +27,7 @@ import argparse
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Generic, Iterable, Sequence, TypeVar
 
 from repro.core.stats import SearchTrace
 from repro.errors import ReproError
@@ -40,8 +40,10 @@ from repro.obs.events import (
     RetryEvent,
     RunEndEvent,
     RunStartEvent,
+    ShardMergedEvent,
     StepEvent,
     TraceEvent,
+    TraceFooterEvent,
     jsonable,
 )
 from repro.obs.sinks import read_jsonl
@@ -81,43 +83,28 @@ class ReplayedRun:
             tail += " (truncated: no run_end)"
         return f"{head}: {self.trace.summary()}{tail}"
 
+    @classmethod
+    def start(
+        cls, event: RunStartEvent, shard: ShardMergedEvent | None
+    ) -> "ReplayedRun":
+        return cls(
+            run=event.run,
+            driver=event.driver,
+            block_size=event.block_size,
+            memory_size=event.memory_size,
+            model=event.model,
+            read_cost=event.read_cost,
+        )
 
-def replay_events(events: Iterable[TraceEvent]) -> list[ReplayedRun]:
-    """Fold an event stream back into per-run search traces.
-
-    Counter semantics mirror the engine exactly: one ``step`` event per
-    path step, one ``fault`` per uncovered arrival, one ``block_read``
-    per successful physical read (charged ``read_cost`` of I/O time),
-    one ``retry`` per *failed* attempt (charged ``read_cost`` plus any
-    granted backoff delay, in that order — float-exact against the
-    engine's own accumulation), one ``fallback`` per replica rescue.
-    """
-    runs: dict[int, ReplayedRun] = {}
-    for event in events:
-        if isinstance(event, CampaignEvent):
-            # Campaign orchestration events carry cell indices in their
-            # ``run`` field, not engine run ids — they are not part of
-            # any engine run's reconstruction.
-            continue
-        if isinstance(event, RunStartEvent):
-            if event.run in runs:
-                raise ReproError(f"duplicate run_start for run {event.run}")
-            runs[event.run] = ReplayedRun(
-                run=event.run,
-                driver=event.driver,
-                block_size=event.block_size,
-                memory_size=event.memory_size,
-                model=event.model,
-                read_cost=event.read_cost,
-            )
-            continue
-        state = runs.get(event.run)
-        if state is None:
-            raise ReproError(
-                f"event for run {event.run} before its run_start: {event}"
-            )
-        state.events += 1
-        trace = state.trace
+    def add(self, event: TraceEvent) -> None:
+        """Fold one of the run's events into its counters, as the engine
+        counts: a ``step`` per path step, a ``fault`` per uncovered
+        arrival, a ``block_read`` per successful read (``read_cost`` of
+        I/O time), a ``retry`` per *failed* attempt (``read_cost`` plus
+        any granted backoff delay, in that order: float-exact against
+        the engine), a ``fallback`` per replica rescue."""
+        self.events += 1
+        trace = self.trace
         if isinstance(event, StepEvent):
             trace.steps += 1
         elif isinstance(event, FaultEvent):
@@ -126,26 +113,85 @@ def replay_events(events: Iterable[TraceEvent]) -> list[ReplayedRun]:
         elif isinstance(event, BlockReadEvent):
             trace.blocks_read += 1
             trace.block_reads.append(event.block_id)
-            if state.read_cost is not None:
-                trace.io_time += state.read_cost
+            if self.read_cost is not None:
+                trace.io_time += self.read_cost
         elif isinstance(event, RetryEvent):
             trace.failed_reads += 1
             if event.outcome == "corrupt":
                 trace.corrupt_reads += 1
-            if state.read_cost is not None:
-                trace.io_time += state.read_cost
+            if self.read_cost is not None:
+                trace.io_time += self.read_cost
             if event.delay is not None:
                 trace.retries += 1
                 trace.io_time += event.delay
         elif isinstance(event, FallbackEvent):
             trace.fallback_reads += 1
         elif isinstance(event, EvictionEvent):
-            state.evictions += 1
-            state.evicted_copies += event.copies
+            self.evictions += 1
+            self.evicted_copies += event.copies
         elif isinstance(event, RunEndEvent):
-            state.declared = dict(event.trace)
-            state.error = event.error
-    return [runs[k] for k in sorted(runs)]
+            self.declared = dict(event.trace)
+            self.error = event.error
+
+
+R = TypeVar("R")
+
+
+@dataclass
+class FoldedTrace(Generic[R]):
+    """What one pass over a trace gathered."""
+
+    runs: list[R]  # one state per run_start, in run-id order
+    shards: list[ShardMergedEvent]  # a merged trace's cells, in order
+    footer: TraceFooterEvent | None
+
+
+def fold_runs(
+    events: Iterable[TraceEvent],
+    start: Callable[[RunStartEvent, ShardMergedEvent | None], R],
+    add: Callable[[R, TraceEvent], None],
+) -> FoldedTrace[R]:
+    """The one event fold: ``start`` builds a run's state from its
+    ``run_start`` and the cell it belongs to — the latest
+    ``shard_merged`` record, if its ``[run_base, run_base + runs)``
+    range holds the run — and ``add`` takes each later event of the run.
+
+    Campaign events carry cell indices, not run ids, and join no run.
+    An engine event before its run's ``run_start``, or a second
+    ``run_start`` for one run, raises :class:`ReproError` naming the run.
+    """
+    runs: dict[int, R] = {}
+    shards: list[ShardMergedEvent] = []
+    footer: TraceFooterEvent | None = None
+    for event in events:
+        if isinstance(event, CampaignEvent):
+            if isinstance(event, ShardMergedEvent):
+                shards.append(event)
+            elif isinstance(event, TraceFooterEvent):
+                footer = event
+            continue
+        if isinstance(event, RunStartEvent):
+            if event.run in runs:
+                raise ReproError(f"duplicate run_start for run {event.run}")
+            shard = shards[-1] if shards else None
+            if shard is not None and not (
+                shard.run_base <= event.run < shard.run_base + shard.runs
+            ):
+                shard = None
+            runs[event.run] = start(event, shard)
+            continue
+        state = runs.get(event.run)
+        if state is None:
+            raise ReproError(
+                f"event for run {event.run} before its run_start: {event}"
+            )
+        add(state, event)
+    return FoldedTrace([runs[k] for k in sorted(runs)], shards, footer)
+
+
+def replay_events(events: Iterable[TraceEvent]) -> list[ReplayedRun]:
+    """Fold an event stream back into per-run search traces."""
+    return fold_runs(events, ReplayedRun.start, ReplayedRun.add).runs
 
 
 def replay_file(path: str | Path) -> list[ReplayedRun]:

@@ -20,9 +20,12 @@ HTML) ops report:
 * **metrics summary** — counters and histogram percentiles from the
   merged registry snapshot.
 
-The manifest is parsed directly as JSONL here (same wire form
-``repro.experiments.manifest`` writes) — ``repro.obs`` stays a layer
-below ``repro.experiments`` and imports nothing from it.
+The manifest is read with the shared JSONL reader
+(:func:`repro.obs.sinks.read_journal`), in the wire form
+``repro.experiments.manifest`` writes, and the trace with the shared
+event fold (:func:`repro.obs.replay.fold_runs`) in one pass that also
+feeds forensics. ``repro.obs`` stays a layer below
+``repro.experiments`` and imports nothing from it.
 """
 
 from __future__ import annotations
@@ -35,8 +38,6 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from repro.errors import ReproError
-from repro.obs.forensics import analyze_trace
-from repro.obs.forensics import render_markdown as render_forensics_markdown
 from repro.obs.events import (
     BlockReadEvent,
     FaultEvent,
@@ -46,8 +47,12 @@ from repro.obs.events import (
     TraceEvent,
     TraceFooterEvent,
 )
+from repro.obs.forensics import RunRecord
+from repro.obs.forensics import document as forensics_document
+from repro.obs.forensics import render_markdown as render_forensics_markdown
 from repro.obs.metrics import Histogram
-from repro.obs.sinks import read_jsonl
+from repro.obs.replay import fold_runs
+from repro.obs.sinks import read_journal, read_jsonl
 
 
 class ReportError(ReproError):
@@ -81,6 +86,19 @@ class CellSummary:
     retry_outcomes: dict[str, int] = field(default_factory=dict)
     block_reads: dict[str, int] = field(default_factory=dict)
 
+    def add(self, event: TraceEvent) -> None:
+        """Tally one engine event of one of the cell's runs."""
+        if isinstance(event, FaultEvent):
+            self.faults += 1
+            self.gap_hist.observe(float(event.gap))
+        elif isinstance(event, BlockReadEvent):
+            key = str(event.block_id)
+            self.block_reads[key] = self.block_reads.get(key, 0) + 1
+        elif isinstance(event, RetryEvent):
+            self.retry_outcomes[event.outcome] = (
+                self.retry_outcomes.get(event.outcome, 0) + 1
+            )
+
 
 @dataclass
 class CampaignReport:
@@ -104,35 +122,15 @@ class CampaignReport:
         return [self.cells[i] for i in sorted(self.cells)]
 
 
-def _parse_jsonl(path: Path) -> list[dict[str, Any]]:
-    """JSONL records, tolerating a torn trailing line."""
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ReportError(f"cannot read {path}: {exc}") from exc
-    lines = raw.splitlines()
-    records: list[dict[str, Any]] = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            if lineno == len(lines):
-                break
-            raise ReportError(f"{path} is corrupt at line {lineno}: {exc}") from exc
-    return records
-
-
 def fold_manifest(report: CampaignReport, path: str | Path) -> None:
     """Fold a campaign manifest journal into the report.
 
-    Reads the same wire form ``repro.experiments.manifest`` commits,
-    parsed directly — the report lives in the observability layer and
-    must not import the experiments package.
+    Reads the wire form ``repro.experiments.manifest`` commits with the
+    shared reader (:func:`~repro.obs.sinks.read_journal`); the report
+    lives in the observability layer and must not import the
+    experiments package.
     """
-    records = _parse_jsonl(Path(path))
+    records = read_journal(path, dict, ReportError)
     if not records or records[0].get("record") != "campaign":
         raise ReportError(f"{path} does not start with a campaign header")
     header = records[0]
@@ -162,40 +160,35 @@ def fold_manifest(report: CampaignReport, path: str | Path) -> None:
 
 
 def fold_trace(report: CampaignReport, path: str | Path) -> None:
-    """Fold a merged campaign trace into the report: per-cell engine
-    activity keyed by the ``shard_merged`` causality records."""
-    current: CellSummary | None = None
-    for event in read_jsonl(path):
-        if isinstance(event, ShardMergedEvent):
-            current = report.cell(event.run, event.cell)
-            current.runs = event.runs
-            current.events = event.events
-            current.dropped = event.dropped
-            current.complete = event.complete
-            current.span = event.span
-            if current.attempt == 0:
-                current.attempt = event.attempt
-            continue
-        if isinstance(event, TraceFooterEvent):
-            report.footer = event
-            current = None
-            continue
-        if current is None or isinstance(event, RunStartEvent):
-            continue
-        _fold_engine_event(current, event)
+    """Fold a merged campaign trace into the report in one pass: the
+    per-cell engine activity, keyed by the ``shard_merged`` causality
+    records, and the forensics document of its runs."""
 
-
-def _fold_engine_event(summary: CellSummary, event: TraceEvent) -> None:
-    if isinstance(event, FaultEvent):
-        summary.faults += 1
-        summary.gap_hist.observe(float(event.gap))
-    elif isinstance(event, BlockReadEvent):
-        key = str(event.block_id)
-        summary.block_reads[key] = summary.block_reads.get(key, 0) + 1
-    elif isinstance(event, RetryEvent):
-        summary.retry_outcomes[event.outcome] = (
-            summary.retry_outcomes.get(event.outcome, 0) + 1
+    def start(
+        event: RunStartEvent, shard: ShardMergedEvent | None
+    ) -> tuple[RunRecord, CellSummary]:
+        # A run outside every shard (a plain trace) tallies into no cell.
+        cell = (
+            CellSummary(-1, "?") if shard is None else report.cell(shard.run, shard.cell)
         )
+        return RunRecord.start(event, shard), cell
+
+    def add(run: tuple[RunRecord, CellSummary], event: TraceEvent) -> None:
+        run[0].add(event)
+        run[1].add(event)
+
+    folded = fold_runs(read_jsonl(path), start, add)
+    for shard in folded.shards:
+        summary = report.cell(shard.run, shard.cell)
+        summary.runs = shard.runs
+        summary.events = shard.events
+        summary.dropped = shard.dropped
+        summary.complete = shard.complete
+        summary.span = shard.span
+        if summary.attempt == 0:
+            summary.attempt = shard.attempt
+    report.footer = folded.footer
+    report.forensics = forensics_document([record for record, _ in folded.runs])
 
 
 def fold_metrics(report: CampaignReport, path: str | Path) -> None:
@@ -222,7 +215,6 @@ def load_report(
         fold_manifest(report, manifest)
     if trace is not None:
         fold_trace(report, trace)
-        report.forensics = analyze_trace(trace)
     if metrics is not None:
         fold_metrics(report, metrics)
     return report
@@ -603,7 +595,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         report = load_report(
             manifest=args.manifest, trace=args.trace, metrics=args.metrics
         )
-    except ReportError as exc:
+    except ReproError as exc:  # unreadable artifacts: one line, not a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if form == "html":

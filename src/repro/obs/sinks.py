@@ -14,19 +14,32 @@ Sinks account for their own lossiness: ``events_dropped`` counts the
 events a bounded sink discarded (only :class:`RingBufferSink` ever
 drops), and the telemetry plane surfaces that number in every trace's
 ``trace_footer`` so a merged campaign trace states its completeness.
+
+The way back is :func:`read_records`, the one JSONL reader: traces
+(:func:`read_jsonl`), shards, and the append-only journals
+(:func:`read_journal`: the campaign manifest and the bench history).
 """
 
 from __future__ import annotations
 
 import abc
 import json
+import re
 from collections import deque
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Any, Callable, Iterator, TypeVar
 
 from repro.errors import ReproError
-from repro.obs.events import TraceEvent, event_from_line
+from repro.obs.events import TraceEvent, event_from_dict
 from repro.obs.metrics import MetricsRegistry
+
+T = TypeVar("T")
+
+#: The one wire decoder, bound once: a stripped line skips the type,
+#: BOM and whitespace checks ``json.loads`` makes around each call.
+_RAW_DECODE = json.JSONDecoder().raw_decode
+#: JSON's whitespace, which ``json.loads`` skips before "Extra data".
+_SKIP_WHITESPACE = re.compile(r"[ \t\n\r]*").match
 
 
 class TraceSink(abc.ABC):
@@ -158,27 +171,71 @@ class CompositeSink(TraceSink):
             sink.close()
 
 
-def read_jsonl(path: str | Path) -> Iterable[TraceEvent]:
-    """Parse a JSONL trace file back into typed events, in file order.
+class TornTailError(ReproError):
+    """A final line with no newline that does not decode: an append cut
+    short, raised after every record before it was yielded."""
 
-    A line that does not decode to one event (torn JSON, data after the
-    object, a non-object, an unknown kind, a missing field) raises
-    :class:`ReproError` naming the file and its 1-based line number.
-    Each line is decoded on its own (:func:`event_from_line`): parsing
-    the file as one array could join two torn lines into valid JSON.
+
+def read_records(
+    path: str | Path,
+    decode: Callable[[dict[str, Any]], T],
+    error: type[ReproError],
+) -> Iterator[T]:
+    """The one JSONL reader: ``decode`` of each line's JSON object, in
+    file order, skipping blank lines.
+
+    A final line with no newline that does not decode raises
+    :class:`TornTailError`; any other line that is not exactly one JSON
+    object, or whose object ``decode`` rejects, raises ``error`` naming
+    the file and its 1-based line. Each line is decoded on its own:
+    parsing the file as one array could join two torn lines.
     """
     with Path(path).open("r", encoding="utf-8") as stream:
         for number, line in enumerate(stream, 1):
-            line = line.strip()
-            if not line:
+            text = line.strip()
+            if not text:
                 continue
             try:
-                event = event_from_line(line)
+                payload, end = _RAW_DECODE(text)
+                if end != len(text):
+                    raise json.JSONDecodeError(
+                        "Extra data", text, _SKIP_WHITESPACE(text, end).end()
+                    )
             except json.JSONDecodeError as exc:
-                raise ReproError(
-                    f"{path}:{number}: undecodable JSON "
-                    f"({exc.msg} at column {exc.colno})"
-                ) from exc
+                where = f"{path}:{number}: "
+                what = f"({exc.msg} at column {exc.colno})"
+                if not line.endswith("\n"):
+                    raise TornTailError(f"{where}torn final line {what}") from exc
+                raise error(f"{where}undecodable JSON {what}") from exc
+            if type(payload) is not dict:
+                raise error(f"{path}:{number}: not a JSON object: {text[:60]}")
+            try:
+                record = decode(payload)
             except (ReproError, TypeError, ValueError) as exc:
-                raise ReproError(f"{path}:{number}: {exc}") from exc
-            yield event
+                raise error(f"{path}:{number}: {exc}") from exc
+            yield record
+
+
+def read_journal(
+    path: str | Path,
+    decode: Callable[[dict[str, Any]], T],
+    error: type[ReproError],
+) -> list[T]:
+    """Every record of an append-only journal (:func:`read_records`),
+    keeping those before a torn final append: a writer killed mid-line
+    leaves a journal valid up to that line."""
+    records: list[T] = []
+    try:
+        for record in read_records(path, decode, error):
+            records.append(record)
+    except TornTailError:
+        pass
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+    return records
+
+
+def read_jsonl(path: str | Path) -> Iterator[TraceEvent]:
+    """A JSONL trace's typed events, in file order (:func:`read_records`;
+    an unknown kind or a missing field is a :class:`ReproError` too)."""
+    return read_records(path, event_from_dict, ReproError)

@@ -44,11 +44,10 @@ from repro.obs.events import (
     ShardMergedEvent,
     TraceEvent,
     TraceFooterEvent,
-    event_from_line,
 )
 from repro.obs.instrument import Instrumentation
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.sinks import JsonlSink
+from repro.obs.sinks import JsonlSink, read_jsonl
 
 
 def span_id(sweep: str, index: int, attempt: int) -> str:
@@ -147,32 +146,22 @@ def read_shard(
 ) -> tuple[list[TraceEvent], TraceFooterEvent | None]:
     """Parse one shard: its events (footer excluded) and the footer.
 
-    Lines decode as :func:`~repro.obs.sinks.read_jsonl` decodes them
-    (:func:`~repro.obs.events.event_from_line`), but the first line
-    that does not decode ends the shard quietly instead of raising: a
-    torn shard — killed worker, unreadable tail — yields the events
-    before it and ``footer=None``; the caller decides what incomplete
-    means (the merger records it in the ``shard_merged`` event).
+    Lines are read as :func:`~repro.obs.sinks.read_jsonl` reads them,
+    but a line it cannot read ends the shard quietly instead of
+    raising: a torn shard — killed worker, unreadable tail — yields the
+    events before it and ``footer=None``, as does a missing file; the
+    caller decides what incomplete means (the merger records it in the
+    ``shard_merged`` event).
     """
     events: list[TraceEvent] = []
-    footer: TraceFooterEvent | None = None
     try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except OSError:
-        return [], None
-    for line in raw.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            event = event_from_line(line)
-        except (ReproError, TypeError, ValueError):
-            break  # torn tail: a killed worker's last partial append
-        if isinstance(event, TraceFooterEvent):
-            footer = event
-            break
-        events.append(event)
-    return events, footer
+        for event in read_jsonl(path):
+            if isinstance(event, TraceFooterEvent):
+                return events, event
+            events.append(event)
+    except (OSError, ReproError):
+        pass  # a killed worker's last partial append, or no shard at all
+    return events, None
 
 
 @dataclass(frozen=True)

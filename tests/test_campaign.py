@@ -125,9 +125,17 @@ class TestManifest:
         writer = ManifestWriter.create(path, specs)
         writer.cell_started(0, "grid1d", 1)
         lines = path.read_text().splitlines()
-        lines[0] = lines[0][: len(lines[0]) // 2]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ManifestError, match="corrupt at line 1"):
+        path.write_text("\n".join([lines[0][: len(lines[0]) // 2], lines[1]]) + "\n")
+        with pytest.raises(ManifestError, match=r"m\.jsonl:1: undecodable JSON"):
+            load_manifest(path)
+        # A line that is JSON but not an object is corruption too.
+        path.write_text("\n".join([lines[0], "[1, 2]", lines[1]]) + "\n")
+        with pytest.raises(ManifestError, match=r"m\.jsonl:2: not a JSON object"):
+            load_manifest(path)
+        # Only a final line with no newline is a torn append: a bad final
+        # line that ends in one was written whole, so it is corruption.
+        path.write_text("\n".join([lines[0], lines[1][:20]]) + "\n")
+        with pytest.raises(ManifestError, match=r"m\.jsonl:2: undecodable JSON"):
             load_manifest(path)
 
     def test_mismatched_sweep_refuses_to_resume(self, tmp_path):

@@ -40,20 +40,20 @@ from repro.obs import (
     Instrumentation,
     JsonlSink,
     MetricsRegistry,
-    analyze_trace,
-    block_ledger,
-    fold_forensics_metrics,
-    scan_trace,
-    stack_distances,
-    taxonomy,
     use_instrumentation,
 )
 from repro.obs.forensics import (
     LRU_EVICTION,
     Arrival,
     RunRecord,
+    analyze_trace,
+    block_ledger,
+    fold_forensics_metrics,
     render_markdown,
+    scan_trace,
     self_check_failures,
+    stack_distances,
+    taxonomy,
     to_json,
 )
 from repro.obs.forensics import _block_key

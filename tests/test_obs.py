@@ -18,11 +18,16 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro import FirstBlockPolicy, ModelParams, Searcher
 from repro.adversaries import RandomWalkAdversary
 from repro.blockings import contiguous_1d_blocking, offset_1d_blocking
@@ -30,7 +35,7 @@ from repro.core.block import Block
 from repro.core.memory import StrongMemory, WeakMemory
 from repro.core.model import PagingModel
 from repro.core.stats import SearchTrace
-from repro.errors import BlockReadError
+from repro.errors import BlockReadError, ReproError
 from repro.graphs import InfiniteGridGraph
 from repro.obs import (
     CompositeSink,
@@ -43,15 +48,8 @@ from repro.obs import (
     SweepProgress,
     bench_rollup,
     current_instrumentation,
-    diff_runs,
-    diff_traces,
-    fault_timeline,
-    gap_histogram_ascii,
     read_jsonl,
-    replay_events,
-    replay_file,
     use_instrumentation,
-    verify_run,
     write_bench_json,
 )
 from repro.obs.events import (
@@ -68,6 +66,16 @@ from repro.obs.events import (
     jsonable,
 )
 from repro.obs.forensics import main as forensics_main
+from repro.obs.report import main as report_main
+from repro.obs.replay import (
+    diff_runs,
+    diff_traces,
+    fault_timeline,
+    gap_histogram_ascii,
+    replay_events,
+    replay_file,
+    verify_run,
+)
 from repro.obs.replay import main as replay_main
 from repro.reliability import (
     ExponentialBackoff,
@@ -853,20 +861,38 @@ class TestReplayTools:
         assert replay_main([str(p1), "--diff", str(p1)]) == 0
 
 
+def traced_walk(tmp_path):
+    """A small trace of one path run."""
+    path = tmp_path / "t.jsonl"
+    instr = Instrumentation(sink=JsonlSink(path))
+    make_searcher(instrumentation=instr).run_path(walk())
+    instr.close()
+    return path
+
+
+#: The three trace CLIs, each with the arguments that read one trace.
+TRACE_CLIS = (
+    (replay_main, lambda path: [str(path), "--check"]),
+    (forensics_main, lambda path: [str(path), "--check"]),
+    (report_main, lambda path: ["--trace", str(path)]),
+)
+
+
 class TestUndecodableTraces:
     """A line that is not an event fails typed: ``read_jsonl`` raises
-    ``ReproError`` naming the file and the 1-based line, and both trace
-    CLIs print that one line to stderr and exit 2."""
+    ``ReproError`` naming the file and the 1-based line, and the three
+    trace CLIs print that one line to stderr and exit 2."""
 
     def broken_trace(self, tmp_path, case):
-        path = tmp_path / "t.jsonl"
-        instr = Instrumentation(sink=JsonlSink(path))
-        make_searcher(instrumentation=instr).run_path(walk())
-        instr.close()
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = traced_walk(tmp_path).read_text(encoding="utf-8").splitlines()
+        end = "\n"
         if case == "torn-last-line":
             bad = len(lines)
             lines[-1] = lines[-1][:21]  # cut mid-object
+        elif case == "torn-append":
+            bad = len(lines)
+            lines[-1] = lines[-1][:21]  # cut mid-object, with no newline
+            end = ""
         elif case == "garbage-middle-line":
             bad = len(lines) // 2
             lines[bad - 1] = "}not json{"
@@ -880,12 +906,12 @@ class TestUndecodableTraces:
             bad = 3
             lines[bad - 1] = '{"event":"nope","run":0}'
         broken = tmp_path / "broken.jsonl"
-        broken.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        broken.write_text("\n".join(lines) + end, encoding="utf-8")
         return broken, bad
 
     CASES = (
         "torn-last-line", "garbage-middle-line", "unknown-kind",
-        "two-objects-one-line", "array-line",
+        "two-objects-one-line", "array-line", "torn-append",
     )
 
     @pytest.mark.parametrize("case", CASES)
@@ -899,18 +925,20 @@ class TestUndecodableTraces:
     @pytest.mark.parametrize("case", CASES)
     def test_clis_exit_2_with_one_line(self, tmp_path, capsys, case):
         path, bad = self.broken_trace(tmp_path, case)
-        for main in (replay_main, forensics_main):
-            assert main([str(path), "--check"]) == 2
+        for main, argv in TRACE_CLIS:
+            assert main(argv(path)) == 2
             captured = capsys.readouterr()
             assert captured.err.count("\n") == 1
             assert f"{path}:{bad}: " in captured.err
             assert "Traceback" not in captured.err
 
     #: What the reader says about each line that decodes to one JSON
-    #: value too many, or to a value that is not an object.
+    #: value too many, or to a value that is not an object, and about a
+    #: final line cut short with no newline.
     MESSAGES = {
         "two-objects-one-line": r"undecodable JSON \(Extra data at column \d+\)",
         "array-line": r"not a JSON object: \[1, 2\]",
+        "torn-append": r"torn final line \(.+ at column \d+\)",
     }
 
     @pytest.mark.parametrize("case", sorted(MESSAGES))
@@ -933,6 +961,70 @@ class TestUndecodableTraces:
         events, footer = read_shard(path)
         assert footer is None
         assert events == list(read_jsonl(path.with_name("t.jsonl")))[: bad - 1]
+
+    def test_only_a_torn_append_is_its_own_error(self, tmp_path):
+        """The reader yields every record before a torn final append,
+        then raises ``TornTailError``; a bad final line that ends in a
+        newline is an ordinary ``ReproError``."""
+        from repro.obs.sinks import TornTailError
+
+        path, bad = self.broken_trace(tmp_path, "torn-append")
+        events = []
+        with pytest.raises(TornTailError):
+            for event in read_jsonl(path):
+                events.append(event)
+        assert events == list(read_jsonl(path.with_name("t.jsonl")))[: bad - 1]
+        path, _ = self.broken_trace(tmp_path, "torn-last-line")
+        with pytest.raises(ReproError) as excinfo:
+            list(read_jsonl(path))
+        assert not isinstance(excinfo.value, TornTailError)
+
+
+class TestOrphanEvents:
+    """The one fold's orphan rule: an engine event before its run's
+    ``run_start``, or a second ``run_start`` for one run, makes every
+    trace CLI exit 2 with one line naming the run."""
+
+    #: Each case: the kind of line put in front of a one-run trace, and
+    #: what the error says.
+    CASES = {
+        "orphan-step": ("step", "event for run 0 before its run_start"),
+        "duplicate-run-start": ("run_start", "duplicate run_start for run 0"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_clis_exit_2_naming_the_run(self, tmp_path, capsys, case):
+        kind, says = self.CASES[case]
+        lines = traced_walk(tmp_path).read_text(encoding="utf-8").splitlines()
+        first = next(line for line in lines if json.loads(line)["event"] == kind)
+        lines = [first, *lines]
+        path = tmp_path / "orphan.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ReproError, match=says):
+            replay_file(path)
+        for main, argv in TRACE_CLIS:
+            assert main(argv(path)) == 2
+            captured = capsys.readouterr()
+            assert captured.err.count("\n") == 1
+            assert says in captured.err
+            assert "Traceback" not in captured.err
+
+
+class TestTraceClisRunOnce:
+    def test_python_m_runs_without_a_runpy_warning(self, tmp_path):
+        """``python -m repro.obs.replay`` and ``… forensics`` execute
+        their module once: ``repro.obs`` does not import them, so runpy
+        finds no copy in ``sys.modules`` to warn about."""
+        path = traced_walk(tmp_path)
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        for module in ("repro.obs.replay", "repro.obs.forensics"):
+            result = subprocess.run(
+                [sys.executable, "-W", "error::RuntimeWarning", "-m", module,
+                 str(path), "--check"],
+                capture_output=True, text=True, env=env,
+            )
+            assert result.returncode == 0, result.stderr
+            assert "RuntimeWarning" not in result.stderr
 
 
 # -- covered_count ------------------------------------------------------

@@ -37,12 +37,11 @@ from repro.obs import (
     merge_shards,
     read_jsonl,
     read_shard,
-    replay_file,
     shard_paths,
     span_id,
     use_instrumentation,
-    verify_run,
 )
+from repro.obs.replay import replay_file, verify_run
 from repro.obs.events import (
     RunStartEvent,
     ShardMergedEvent,
@@ -428,7 +427,15 @@ class TestBenchwatch:
         assert len(load_history(history)) == 2
         # A torn *middle* line is corruption, not a crash artifact.
         history.write_text(good[: len(good) // 2] + "\n" + good + "\n")
-        with pytest.raises(BenchWatchError, match="corrupt"):
+        with pytest.raises(BenchWatchError, match=r"h\.jsonl:1: undecodable JSON"):
+            load_history(history)
+        # So is a bad final line that ends in a newline: it was written whole.
+        history.write_text(good + "\n" + good[: len(good) // 2] + "\n")
+        with pytest.raises(BenchWatchError, match=r"h\.jsonl:2: undecodable JSON"):
+            load_history(history)
+        # A line that is JSON but not an object fails typed.
+        history.write_text(good + "\n[1, 2]\n" + good + "\n")
+        with pytest.raises(BenchWatchError, match=r"h\.jsonl:2: not a JSON object"):
             load_history(history)
         # Unknown schema versions refuse loudly.
         history.write_text(json.dumps({"schema": 99, "bench": "d"}) + "\n")
@@ -559,6 +566,13 @@ class TestBenchwatch:
 
 
 # -- the campaign ops report --------------------------------------------
+
+
+def report_cells(report):
+    """The cell table of a loaded report, as plain data."""
+    from repro.obs.report import report_data
+
+    return report_data(report)["cells"]
 
 
 class TestOpsReport:
@@ -710,6 +724,27 @@ class TestOpsReport:
         bad.write_text('{"record": "cell"}\n')
         assert main([str(bad)]) == 2  # no campaign header
 
+    def test_unreadable_manifest_line_exits_2(self, tmp_path, capsys):
+        """A manifest line that is not one JSON object fails typed,
+        naming the line; a torn final append keeps the records before
+        it."""
+        from repro.obs.report import ReportError, load_report, main
+
+        manifest = self._manifest(tmp_path)
+        lines = manifest.read_text().splitlines()
+        broken = tmp_path / "broken.jsonl"
+        broken.write_text("\n".join([lines[0], "[1, 2]", *lines[1:]]) + "\n")
+        with pytest.raises(ReportError, match=r"broken\.jsonl:2: not a JSON object"):
+            load_report(manifest=broken)
+        assert main([str(broken)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "broken.jsonl:2: " in err
+        torn = tmp_path / "torn.jsonl"
+        torn.write_text("\n".join(lines) + "\n" + lines[-1][:20])
+        assert report_cells(load_report(manifest=torn)) == report_cells(
+            load_report(manifest=manifest)
+        )
+
     def test_cli_writes_report_on_real_campaign(self, tmp_path):
         """End to end on real artifacts: chaos campaign -> manifest +
         merged trace + metrics snapshot -> rendered ops report."""
@@ -757,7 +792,8 @@ class TestOpsReport:
 class TestLayering:
     def test_obs_report_does_not_import_experiments(self):
         """`repro.obs` stays a layer below `repro.experiments`: the ops
-        report parses the manifest wire form directly."""
+        report reads the manifest wire form with the reader in
+        `repro.obs`."""
         code = (
             "import sys\n"
             "import repro.obs.report\n"
