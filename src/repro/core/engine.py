@@ -8,18 +8,22 @@ block is read. The engine is *lazy* (Theorem 1: lazy on-line pagers are
 optimal in the weak model) — it reads exactly one block per fault and
 never reads otherwise.
 
-Two drivers:
+Two front ends of one game loop:
 
 * :func:`simulate_path` — replay a pre-computed vertex sequence
   (off-line workloads, random walks, recorded traces);
 * :func:`simulate_adversary` — alternate moves with an on-line
   :class:`Adversary` that sees the coverage state through a read-only
   :class:`MemoryView` (the worst-case game of the upper-bound proofs).
+
+Both say only where the path starts and how it moves; one run brackets
+the game with fresh memory and its trace events, and one loop plays it.
 """
 
 from __future__ import annotations
 
 import abc
+import itertools
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.core.block import Block
@@ -115,6 +119,15 @@ class Adversary(abc.ABC):
         """Clear per-run state (default: stateless)."""
 
 
+#: Where a run's path starts, and how it moves on from the pathfront.
+_Start = Callable[[MemoryView], Vertex]
+_Step = Callable[[Vertex, MemoryView], Vertex]
+
+
+class _PathEnd(Exception):
+    """A fixed path ran out of vertices: the game ends there."""
+
+
 class Searcher:
     """A configured simulator bundling graph, blocking, and policies.
 
@@ -186,7 +199,7 @@ class Searcher:
             self._store = None
             self._step_budget = None
 
-    # -- drivers ---------------------------------------------------------
+    # -- front ends: where the path starts and how it moves ---------------
 
     def run_path(self, path: Iterable[Vertex]) -> SearchTrace:
         """Trace a pre-computed vertex sequence; returns its statistics.
@@ -196,149 +209,119 @@ class Searcher:
         start check), so a bogus start fails cleanly instead of
         surfacing as a confusing policy or blocking error.
         """
-        self.policy.reset()
-        self.eviction.reset()
-        if self._store is not None:
-            self._store.reset()
-        memory = make_memory(self.params)
-        trace = SearchTrace()
-        instr = self._instr
-        if instr is None:
-            return self._drive_path(path, memory, trace)
-        instr.run_start("path", self.params, self._read_cost(), self.eviction_name)
-        error: str | None = None
-        try:
-            return self._drive_path(path, memory, trace, instr)
-        except BaseException as exc:
-            error = f"{type(exc).__name__}: {exc}"
-            raise
-        finally:
-            instr.run_end(trace, error)
+        vertices = iter(path)
+
+        def move(pathfront: Vertex, view: MemoryView) -> Vertex:
+            for vertex in vertices:
+                return vertex
+            raise _PathEnd
+
+        def start(view: MemoryView) -> Vertex:
+            vertex = move(None, view)
+            if not self.graph.has_vertex(vertex):
+                raise GraphError(f"path start vertex {vertex!r} is not in the graph")
+            return vertex
+
+        return self._run("path", start, move, itertools.repeat(None))
 
     def run_adversary(self, adversary: Adversary, num_steps: int) -> SearchTrace:
         """Play ``num_steps`` moves of the adversary game."""
+        adversary.reset()
+
+        def start(view: MemoryView) -> Vertex:
+            vertex = adversary.start(view)
+            if not self.graph.has_vertex(vertex):
+                raise AdversaryError(f"start vertex {vertex!r} is not in the graph")
+            return vertex
+
+        return self._run("adversary", start, adversary.step, range(num_steps))
+
+    # -- the game ----------------------------------------------------------
+
+    def _run(
+        self, driver: str, start: _Start, step: _Step, moves: Iterable[object]
+    ) -> SearchTrace:
+        """One run from fresh memory: the ``run_start`` … ``run_end``
+        bracket (with the error that ended the run, if any) around
+        :meth:`_drive`."""
         self.policy.reset()
         self.eviction.reset()
-        adversary.reset()
         if self._store is not None:
             self._store.reset()
         memory = make_memory(self.params)
         trace = SearchTrace()
-        view = MemoryView(memory, trace)
         instr = self._instr
         if instr is None:
-            return self._drive_adversary(adversary, num_steps, memory, trace, view)
-        instr.run_start(
-            "adversary", self.params, self._read_cost(), self.eviction_name
-        )
+            return self._drive(start, step, moves, memory, trace)
+        instr.run_start(driver, self.params, self._read_cost(), self.eviction_name)
         error: str | None = None
         try:
-            return self._drive_adversary(
-                adversary, num_steps, memory, trace, view, instr
-            )
+            return self._drive(start, step, moves, memory, trace, instr)
         except BaseException as exc:
             error = f"{type(exc).__name__}: {exc}"
             raise
         finally:
             instr.run_end(trace, error)
 
-    # -- drive loops -------------------------------------------------------
-    #
-    # Each driver has one loop, tuned as the engine's hot path: every
-    # per-step callable (adversary move, fused memory visit, move check)
+    # The one drive loop, tuned as the engine's hot path: every per-step
+    # callable (the move source, the fused memory visit, the move check)
     # is bound to a local before the loop, the covered-vertex fast path
     # is a single ``memory.visit`` call, and fault servicing lives in
     # :meth:`_fault` so the loop body stays small. The uninstrumented
     # call (instr=None) performs the seed's exact trace mutations —
     # bit-identical results, verified by trace replay.
 
-    def _drive_path(
+    def _drive(
         self,
-        path: Iterable[Vertex],
+        start: _Start,
+        step: _Step,
+        moves: Iterable[object],
         memory: Memory,
         trace: SearchTrace,
         instr: "InstrumentationHook | None" = None,
     ) -> SearchTrace:
-        steps_since_fault = 0
-        # A flag marks the start: ``None`` is a legal vertex (an
-        # AdjacencyGraph takes any hashable), so ``previous`` cannot.
-        first = True
+        """Serve the start vertex (an arrival, not a step), then one
+        step per item of ``moves``; a fixed path ends early by raising
+        :class:`_PathEnd`."""
+        view = MemoryView(memory, trace)
         visit = memory.visit
         has_edge = self.graph.has_edge
         validate = self.validate_moves
         budgeted = self._step_budget is not None
         holders = self._holder_query(memory, instr)
-        for vertex in path:
-            if first:
-                if not self.graph.has_vertex(vertex):
-                    raise GraphError(
-                        f"path start vertex {vertex!r} is not in the graph"
-                    )
-                first = False
-            else:
-                if validate and (vertex == previous or not has_edge(previous, vertex)):
+        try:
+            pathfront = start(view)
+            if budgeted:
+                self._check_budget(trace)
+            if not visit(pathfront):
+                self._fault(pathfront, memory, trace, 0, instr)
+                if budgeted:
+                    self._check_budget(trace)
+            steps_since_fault = 0
+            for _ in moves:
+                nxt = step(pathfront, view)
+                if validate and (nxt == pathfront or not has_edge(pathfront, nxt)):
                     raise AdversaryError(
-                        f"illegal move: {previous!r} -> {vertex!r} is not an edge"
+                        f"illegal move: {pathfront!r} -> {nxt!r} is not an edge"
                     )
                 trace.steps += 1
                 steps_since_fault += 1
                 if instr is not None:
-                    instr.step(
-                        vertex, holders(vertex) if holders is not None else None
-                    )
-            if budgeted:
-                self._check_budget(trace)
-            if not visit(vertex):
-                self._fault(vertex, memory, trace, steps_since_fault, instr)
-                steps_since_fault = 0
-                # Re-check after servicing: the fault's read attempts
-                # (retry storms included) count against the budget, and
-                # on the walk's final arrival there is no next iteration
-                # to catch the overage.
+                    instr.step(nxt, holders(nxt) if holders is not None else None)
                 if budgeted:
                     self._check_budget(trace)
-            previous = vertex
-        return trace
-
-    def _drive_adversary(
-        self,
-        adversary: Adversary,
-        num_steps: int,
-        memory: Memory,
-        trace: SearchTrace,
-        view: MemoryView,
-        instr: "InstrumentationHook | None" = None,
-    ) -> SearchTrace:
-        pathfront = adversary.start(view)
-        if not self.graph.has_vertex(pathfront):
-            raise AdversaryError(f"start vertex {pathfront!r} is not in the graph")
-        steps_since_fault = self._visit(pathfront, memory, trace, 0)
-        step = adversary.step
-        visit = memory.visit
-        has_edge = self.graph.has_edge
-        validate = self.validate_moves
-        budgeted = self._step_budget is not None
-        holders = self._holder_query(memory, instr)
-        for _ in range(num_steps):
-            nxt = step(pathfront, view)
-            if validate and (nxt == pathfront or not has_edge(pathfront, nxt)):
-                raise AdversaryError(
-                    f"illegal move: {pathfront!r} -> {nxt!r} is not an edge"
-                )
-            trace.steps += 1
-            steps_since_fault += 1
-            if instr is not None:
-                instr.step(nxt, holders(nxt) if holders is not None else None)
-            if budgeted:
-                self._check_budget(trace)
-            if not visit(nxt):
-                self._fault(nxt, memory, trace, steps_since_fault, instr)
-                steps_since_fault = 0
-                # Same post-fault re-check as the path driver: the last
-                # move's retries must not slip past the watchdog.
-                if budgeted:
-                    self._check_budget(trace)
-            pathfront = nxt
+                if not visit(nxt):
+                    self._fault(nxt, memory, trace, steps_since_fault, instr)
+                    steps_since_fault = 0
+                    # Re-check after servicing: the fault's read attempts
+                    # (retry storms included) count against the budget,
+                    # and on the final arrival there is no next iteration
+                    # to catch the overage.
+                    if budgeted:
+                        self._check_budget(trace)
+                pathfront = nxt
+        except _PathEnd:
+            pass
         return trace
 
     def _read_cost(self) -> float | None:
@@ -362,24 +345,6 @@ class Searcher:
         return memory.covering_blocks
 
     # -- internals --------------------------------------------------------
-
-    def _visit(
-        self,
-        vertex: Vertex,
-        memory: Memory,
-        trace: SearchTrace,
-        steps_since_fault: int,
-    ) -> int:
-        """Service the pathfront arriving at ``vertex``; returns the new
-        steps-since-last-fault counter."""
-        if self._step_budget is not None:
-            self._check_budget(trace)
-        if memory.visit(vertex):
-            return steps_since_fault
-        self._fault(vertex, memory, trace, steps_since_fault, self._instr)
-        if self._step_budget is not None:
-            self._check_budget(trace)
-        return 0
 
     def _fault(
         self,

@@ -1,9 +1,9 @@
 """Experiment harness.
 
-Wraps one adversary-vs-blocking game into a record carrying the
-measured speed-up next to the paper's predicted envelope, so the
-Table 1 reproduction is a list of these records and "does the paper
-hold" is a pair of boolean columns.
+Wraps one game against a blocking (an adversary's, or a fixed path's)
+into a record carrying the measured speed-up next to the paper's
+predicted envelope, so the Table 1 reproduction is a list of these
+records and "does the paper hold" is a pair of boolean columns.
 
 The harness is *hardened*: a per-run :class:`~repro.errors.ReproError`
 (a lost block that no replica covers, an exhausted step budget, a bad
@@ -14,10 +14,9 @@ completes and reports its degraded cells.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from typing import Callable, Mapping
 
 from repro.core.blocking import Blocking
 from repro.core.engine import Adversary, Searcher
@@ -28,10 +27,6 @@ from repro.errors import ReproError
 from repro.graphs.base import Graph
 from repro.paging.eviction import EvictionPolicy
 from repro.reliability import ReliabilityConfig
-
-if TYPE_CHECKING:
-    from repro.obs.instrument import InstrumentationHook
-    from repro.obs.profiling import PhaseProfiler
 
 
 @dataclass
@@ -88,6 +83,40 @@ class ExperimentResult:
         return (self.lower_holds is not False) and (self.upper_holds is not False)
 
 
+def measure(
+    result: ExperimentResult,
+    blocking: Blocking,
+    game: Callable[[], SearchTrace],
+    catch_errors: bool = True,
+) -> ExperimentResult:
+    """Play ``game`` and fill ``result``'s measured columns from its
+    trace.
+
+    With ``catch_errors`` (the default) a :class:`ReproError` raised by
+    ``game`` — a reliability-layer block loss, the step-budget watchdog,
+    a bad configuration — sets :attr:`ExperimentResult.error` instead,
+    and the columns come from the partial trace the error carries, if
+    any.
+    """
+    try:
+        trace = game()
+    except ReproError as exc:
+        if not catch_errors:
+            raise
+        result.error = f"{type(exc).__name__}: {exc}"
+        trace = getattr(exc, "trace", None)
+        if trace is None:
+            return result
+    result.sigma = trace.speedup
+    result.steady_sigma = trace.steady_speedup
+    result.min_gap = float(trace.min_gap)
+    result.faults = trace.faults
+    result.steps = trace.steps
+    result.storage_blowup = blocking.storage_blowup()
+    result.trace = trace
+    return result
+
+
 def run_game(
     experiment: str,
     description: str,
@@ -104,24 +133,13 @@ def run_game(
     validate_moves: bool = False,
     reliability: ReliabilityConfig | None = None,
     catch_errors: bool = True,
-    instrumentation: "InstrumentationHook | None" = None,
-    profiler: "PhaseProfiler | None" = None,
 ) -> ExperimentResult:
-    """Play the adversary game and package the outcome.
+    """Play the adversary game and package the outcome (:func:`measure`;
+    the :class:`Searcher` is built inside its guard, so a configuration
+    it rejects is a degraded cell too).
 
     Move validation defaults off here (the harness runs long traces
     against trusted adversaries; unit tests run with validation on).
-
-    With ``catch_errors`` (the default) any :class:`ReproError` raised
-    during the run — including reliability-layer block losses and the
-    step-budget watchdog — becomes a degraded cell with
-    :attr:`ExperimentResult.error` set and statistics recovered from
-    the partial trace, so sweeps survive individual run failures.
-
-    ``instrumentation`` is forwarded to the :class:`Searcher` (omit it
-    to inherit any ambient hook installed via
-    :func:`repro.obs.use_instrumentation`). ``profiler`` times the game
-    under the phase ``game:<experiment>``.
     """
     result = ExperimentResult(
         experiment=experiment,
@@ -130,39 +148,20 @@ def run_game(
         lower_bound=lower_bound,
         upper_bound=upper_bound,
     )
-    timer = (
-        profiler.phase(f"game:{experiment}")
-        if profiler is not None
-        else contextlib.nullcontext()
-    )
-    try:
-        with timer:
-            searcher = Searcher(
-                graph,
-                blocking,
-                policy,
-                model,
-                eviction=eviction,
-                validate_moves=validate_moves,
-                reliability=reliability,
-                instrumentation=instrumentation,
-            )
-            trace = searcher.run_adversary(adversary, num_steps)
-    except ReproError as exc:
-        if not catch_errors:
-            raise
-        result.error = f"{type(exc).__name__}: {exc}"
-        trace = getattr(exc, "trace", None)
-        if trace is None:
-            return result
-    result.sigma = trace.speedup
-    result.steady_sigma = trace.steady_speedup
-    result.min_gap = float(trace.min_gap)
-    result.faults = trace.faults
-    result.steps = trace.steps
-    result.storage_blowup = blocking.storage_blowup()
-    result.trace = trace
-    return result
+
+    def game() -> SearchTrace:
+        searcher = Searcher(
+            graph,
+            blocking,
+            policy,
+            model,
+            eviction=eviction,
+            validate_moves=validate_moves,
+            reliability=reliability,
+        )
+        return searcher.run_adversary(adversary, num_steps)
+
+    return measure(result, blocking, game, catch_errors)
 
 
 @dataclass
@@ -202,18 +201,15 @@ def run_worst_case(
     validate_moves: bool = False,
     reliability: ReliabilityConfig | None = None,
     catch_errors: bool = True,
-    instrumentation: "InstrumentationHook | None" = None,
-    profiler: "PhaseProfiler | None" = None,
 ) -> ExperimentResult:
     """Play several adversaries and keep the *worst* outcome (smallest
     sigma) — a stronger check of a construction's lower bound than any
     single adversary, since the guarantee must hold against all walks.
 
     The winning adversary's name is recorded in ``params['adversary']``.
-    Eviction policy, move validation, the reliability model, and the
-    instrumentation/profiler hooks are forwarded to every game. A
-    completed game always beats a degraded one for "worst"; among
-    degraded games the first is kept.
+    Eviction policy, move validation and the reliability model are
+    forwarded to every game. A completed game always beats a degraded
+    one for "worst"; among degraded games the first is kept.
     """
     worst: ExperimentResult | None = None
     for name, adversary in adversaries.items():
@@ -233,8 +229,6 @@ def run_worst_case(
             validate_moves=validate_moves,
             reliability=reliability,
             catch_errors=catch_errors,
-            instrumentation=instrumentation,
-            profiler=profiler,
         )
         if (
             worst is None

@@ -50,7 +50,7 @@ from repro.experiments.io import (
     game_to_dict,
 )
 from repro.experiments.table1 import CellSpec
-from repro.obs.sinks import read_journal
+from repro.obs.sinks import read_journal, require_keys
 
 MANIFEST_SCHEMA = 1
 
@@ -213,15 +213,26 @@ class Manifest:
             )
 
 
+def _manifest_record(record: dict[str, Any]) -> dict[str, Any]:
+    """A journal record with every key :func:`load_manifest` reads."""
+    if record.get("record") == "campaign":
+        for cell in record.get("cells", []):
+            require_keys(cell, "header cell", "fingerprint", "name", "kind")
+    elif record.get("record") == "cell":
+        require_keys(record, "cell record", "index", "status")
+    return record
+
+
 def load_manifest(path: str | Path) -> Manifest:
     """Parse a manifest journal, folding cell records into latest state.
 
     A torn final append (a non-atomic writer killed mid-line) is
-    ignored; any other line that is not one JSON object raises
-    :class:`ManifestError` naming it.
+    ignored; any other line that is not one JSON object, or a record
+    that lacks a key the fold reads, raises :class:`ManifestError`
+    naming it.
     """
     path = Path(path)
-    records = read_journal(path, dict, ManifestError)
+    records = read_journal(path, _manifest_record, ManifestError)
     if not records:
         raise ManifestError(f"manifest {path} is empty")
     header = records[0]

@@ -59,7 +59,7 @@ from repro.core.engine import Searcher
 from repro.core.model import ModelParams
 from repro.core.policies import FirstBlockPolicy
 from repro.errors import ReproError
-from repro.experiments.harness import CheckResult, ExperimentResult, run_game
+from repro.experiments.harness import CheckResult, ExperimentResult, measure, run_game
 from repro.reliability import ReliabilityConfig
 from repro.graphs import (
     CompleteTree,
@@ -232,21 +232,7 @@ def grid1d_finite_row(
         validate_moves=False,
         reliability=reliability,
     )
-    try:
-        trace = searcher.run_path(path)
-    except ReproError as exc:
-        result.error = f"{type(exc).__name__}: {exc}"
-        trace = getattr(exc, "trace", None)
-        if trace is None:
-            return [result]
-    result.sigma = trace.speedup
-    result.steady_sigma = trace.steady_speedup
-    result.min_gap = float(trace.min_gap)
-    result.faults = trace.faults
-    result.steps = trace.steps
-    result.storage_blowup = blocking.storage_blowup()
-    result.trace = trace
-    return [result]
+    return [measure(result, blocking, lambda: searcher.run_path(path))]
 
 
 # ---------------------------------------------------------------------------

@@ -75,13 +75,6 @@ class Counter:
         with self._lock:
             self.value += amount
 
-    def merge(self, other: "Counter") -> None:
-        """Fold another counter in (counts add)."""
-        with other._lock:
-            amount = other.value
-        with self._lock:
-            self.value += amount
-
     def snapshot(self) -> int:
         with self._lock:
             return self.value
@@ -107,18 +100,6 @@ class Gauge:
         with self._lock:
             self.value = value
 
-    def merge(self, other: "Gauge") -> None:
-        """Fold another gauge in: the merged write wins (unless unset).
-
-        Across processes "most recent" is merge order — the campaign
-        merges shards in cell order, so the last cell's write survives,
-        mirroring what a single-process sweep would have left behind.
-        """
-        with other._lock:
-            value = other.value
-        if value is not None:
-            self.set(value)
-
     def snapshot(self) -> float | None:
         with self._lock:
             return self.value
@@ -128,6 +109,10 @@ class Gauge:
             return {"kind": "gauge", "value": self.value}
 
     def merge_wire(self, payload: Mapping[str, Any]) -> None:
+        """The merged write wins (unless unset). Across processes "most
+        recent" is merge order — the campaign merges shards in cell
+        order, so the last cell's write survives, mirroring what a
+        single-process sweep would have left behind."""
         value = payload["value"]
         if value is not None:
             self.set(value)
@@ -145,13 +130,6 @@ class LabeledCounter:
     def inc(self, key: Hashable, amount: int = 1) -> None:
         with self._lock:
             self.counts[key] = self.counts.get(key, 0) + amount
-
-    def merge(self, other: "LabeledCounter") -> None:
-        """Fold another labeled counter in (per-key counts add)."""
-        with other._lock:
-            items = list(other.counts.items())
-        for key, amount in items:
-            self.inc(key, amount)
 
     def top(self, n: int = 10) -> list[tuple[Hashable, int]]:
         """The ``n`` hottest keys, descending."""
@@ -209,27 +187,6 @@ class Histogram:
     def mean(self) -> float | None:
         with self._lock:
             return self.total / self.count if self.count else None
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram in — exact counting makes this lossless
-        (value counts add; min/max/sum/count recombine)."""
-        with other._lock:
-            counts = list(other.counts.items())
-            count, total = other.count, other.total
-            minimum, maximum = other.minimum, other.maximum
-        with self._lock:
-            for value, occurrences in counts:
-                self.counts[value] = self.counts.get(value, 0) + occurrences
-            self.count += count
-            self.total += total
-            if minimum is not None and (
-                self.minimum is None or minimum < self.minimum
-            ):
-                self.minimum = minimum
-            if maximum is not None and (
-                self.maximum is None or maximum > self.maximum
-            ):
-                self.maximum = maximum
 
     def percentile(self, q: float) -> float | None:
         """The exact ``q``-th percentile (nearest-rank on the value
@@ -346,18 +303,6 @@ class MetricsRegistry:
 
     def histogram(self, name: str) -> Histogram:
         return self._get(name, Histogram)
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry in, instrument by instrument.
-
-        Names present in both must hold the same instrument kind
-        (:class:`TypeError` otherwise, same contract as ``_get``);
-        names only in ``other`` are created here.
-        """
-        with other._lock:
-            items = sorted(other._instruments.items())
-        for name, instrument in items:
-            self._get(name, type(instrument)).merge(instrument)
 
     def snapshot(self) -> dict[str, Any]:
         """All instruments as plain JSON-ready values, sorted by name."""

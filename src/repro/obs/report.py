@@ -52,7 +52,7 @@ from repro.obs.forensics import document as forensics_document
 from repro.obs.forensics import render_markdown as render_forensics_markdown
 from repro.obs.metrics import Histogram
 from repro.obs.replay import fold_runs
-from repro.obs.sinks import read_journal, read_jsonl
+from repro.obs.sinks import read_journal, read_jsonl, require_keys
 
 
 class ReportError(ReproError):
@@ -122,6 +122,16 @@ class CampaignReport:
         return [self.cells[i] for i in sorted(self.cells)]
 
 
+def _manifest_record(record: dict[str, Any]) -> dict[str, Any]:
+    """A journal record with every key :func:`fold_manifest` reads."""
+    if record.get("record") == "campaign":
+        for spec in record.get("cells", []):
+            require_keys(spec, "header cell", "index", "name")
+    elif record.get("record") == "cell":
+        require_keys(record, "cell record", "index", "status")
+    return record
+
+
 def fold_manifest(report: CampaignReport, path: str | Path) -> None:
     """Fold a campaign manifest journal into the report.
 
@@ -130,7 +140,7 @@ def fold_manifest(report: CampaignReport, path: str | Path) -> None:
     lives in the observability layer and must not import the
     experiments package.
     """
-    records = read_journal(path, dict, ReportError)
+    records = read_journal(path, _manifest_record, ReportError)
     if not records or records[0].get("record") != "campaign":
         raise ReportError(f"{path} does not start with a campaign header")
     header = records[0]
@@ -385,21 +395,16 @@ def _metric_cell(value: Any) -> str:
 def _hist_from_snapshot(snapshot: Mapping[str, Any]) -> Histogram:
     """Rebuild an exact histogram from its ``snapshot()`` form (keys
     were stringified on the way out)."""
-    hist = Histogram()
+    counts: list[tuple[float, Any]] = []
     values = snapshot.get("values", {})
     if isinstance(values, Mapping):
         for key, occurrences in values.items():
             try:
-                value = float(key)
+                counts.append((float(key), occurrences))
             except ValueError:
                 continue
-            hist.counts[value] = hist.counts.get(value, 0) + int(occurrences)
-            hist.count += int(occurrences)
-            hist.total += value * int(occurrences)
-            if hist.minimum is None or value < hist.minimum:
-                hist.minimum = value
-            if hist.maximum is None or value > hist.maximum:
-                hist.maximum = value
+    hist = Histogram()
+    hist.merge_wire({"counts": counts})
     return hist
 
 

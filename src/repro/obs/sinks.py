@@ -185,28 +185,33 @@ def read_records(
     file order, skipping blank lines.
 
     A final line with no newline that does not decode raises
-    :class:`TornTailError`; any other line that is not exactly one JSON
-    object, or whose object ``decode`` rejects, raises ``error`` naming
-    the file and its 1-based line. Each line is decoded on its own:
-    parsing the file as one array could join two torn lines.
+    :class:`TornTailError`; any other line that is not UTF-8 or not
+    exactly one JSON object, or whose object ``decode`` rejects (with a
+    ``ReproError``, ``TypeError`` or ``ValueError``), raises ``error``
+    naming the file and its 1-based line. Each line is decoded on its
+    own, from bytes: parsing the file as one array could join two torn
+    lines, and a text stream reports a bad byte at a chunk offset.
     """
-    with Path(path).open("r", encoding="utf-8") as stream:
+    with Path(path).open("rb") as stream:
         for number, line in enumerate(stream, 1):
-            text = line.strip()
-            if not text:
-                continue
             try:
+                text = line.decode("utf-8").strip()
+                if not text:
+                    continue
                 payload, end = _RAW_DECODE(text)
                 if end != len(text):
                     raise json.JSONDecodeError(
                         "Extra data", text, _SKIP_WHITESPACE(text, end).end()
                     )
-            except json.JSONDecodeError as exc:
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 where = f"{path}:{number}: "
-                what = f"({exc.msg} at column {exc.colno})"
-                if not line.endswith("\n"):
+                if isinstance(exc, UnicodeDecodeError):
+                    form, what = "UTF-8", f"({exc.reason} at byte {exc.start + 1})"
+                else:
+                    form, what = "JSON", f"({exc.msg} at column {exc.colno})"
+                if not line.endswith(b"\n"):
                     raise TornTailError(f"{where}torn final line {what}") from exc
-                raise error(f"{where}undecodable JSON {what}") from exc
+                raise error(f"{where}undecodable {form} {what}") from exc
             if type(payload) is not dict:
                 raise error(f"{path}:{number}: not a JSON object: {text[:60]}")
             try:
@@ -214,6 +219,15 @@ def read_records(
             except (ReproError, TypeError, ValueError) as exc:
                 raise error(f"{path}:{number}: {exc}") from exc
             yield record
+
+
+def require_keys(record: Any, what: str, *keys: str) -> None:
+    """For a ``decode`` function: a ``ValueError`` (which
+    :func:`read_records` reports at the record's ``path:line``) when
+    ``record`` lacks one of ``keys``."""
+    for key in keys:
+        if key not in record:
+            raise ValueError(f"{what} has no {key!r}")
 
 
 def read_journal(

@@ -118,6 +118,12 @@ class TestManifest:
             sort_keys=True,
         )
         assert path.read_bytes() == before_tear + new_record.encode() + b"\n"
+        # An append cut inside a multi-byte character is torn the same way.
+        with open(path, "ab") as fh:
+            fh.write('{"record": "cell", "index": 0, "error": "é'.encode()[:-1])
+        manifest = load_manifest(path)
+        assert len(manifest.lines) == 3  # the header and two cell records
+        assert manifest.cell(1).status == "started"
 
     def test_corruption_before_the_tail_raises(self, tmp_path):
         specs = cell_specs(quick=True, names=SUBSET)
@@ -137,6 +143,16 @@ class TestManifest:
         path.write_text("\n".join([lines[0], lines[1][:20]]) + "\n")
         with pytest.raises(ManifestError, match=r"m\.jsonl:2: undecodable JSON"):
             load_manifest(path)
+        # A cell record without a key the fold reads is corruption too.
+        for record, key in (
+            ('{"record": "cell", "status": "done"}', "index"),
+            ('{"record": "cell", "index": 0}', "status"),
+        ):
+            path.write_text("\n".join([lines[0], record, lines[1]]) + "\n")
+            with pytest.raises(
+                ManifestError, match=rf"m\.jsonl:2: cell record has no '{key}'"
+            ):
+                load_manifest(path)
 
     def test_mismatched_sweep_refuses_to_resume(self, tmp_path):
         path = tmp_path / "m.jsonl"

@@ -1,5 +1,7 @@
 """Search-engine semantics: fault accounting, laziness, move checking."""
 
+import dataclasses
+
 import pytest
 
 from repro import (
@@ -13,10 +15,20 @@ from repro import (
     simulate_adversary,
     simulate_path,
 )
+from repro.adversaries import GridCorridorAdversary, RandomWalkAdversary
+from repro.blockings import offset_grid_blocking, uniform_grid_blocking
+from repro.blockings.policies import FarthestFaultPolicy
 from repro.core.engine import Adversary
+from repro.core.model import PagingModel
 from repro.core.policies import BlockChoicePolicy
-from repro.graphs import AdjacencyGraph, path_graph
+from repro.core.stats import SearchTrace
+from repro.errors import BlockReadError, ReproError
+from repro.graphs import AdjacencyGraph, InfiniteGridGraph, path_graph
+from repro.obs import Instrumentation, RingBufferSink
 from repro.paging.eviction import EvictAllPolicy
+from repro.reliability import ReliabilityConfig
+from repro.reliability.faults import ProbabilisticFaults
+from repro.reliability.retry import ExponentialBackoff
 
 
 def path_blocking(n=20, B=5) -> ExplicitBlocking:
@@ -225,3 +237,123 @@ class TestRunAdversary:
             eviction=EvictAllPolicy(),
         )
         assert trace.faults == 4
+
+
+class _Recorder(Adversary):
+    """Plays ``inner`` and keeps every vertex it played, start first."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.played = []
+
+    def reset(self):
+        self.inner.reset()
+        self.played = []
+
+    def start(self, view):
+        self.played.append(self.inner.start(view))
+        return self.played[-1]
+
+    def step(self, pathfront, view):
+        self.played.append(self.inner.step(pathfront, view))
+        return self.played[-1]
+
+
+GRID2 = InfiniteGridGraph(2)
+
+
+def _grid_setup(blocking, policy, params, adversary, reliability=None):
+    def searcher(instrumentation=None):
+        return Searcher(
+            GRID2, blocking, policy, params,
+            reliability=reliability, instrumentation=instrumentation,
+        )
+
+    return searcher, adversary
+
+
+#: Each setup: a factory of fresh Searchers, and the adversary to play.
+PARITY_SETUPS = {
+    "offset-s2-farthest": lambda: _grid_setup(
+        offset_grid_blocking(2, 16), FarthestFaultPolicy(GRID2),
+        ModelParams(16, 32), GridCorridorAdversary(2, 16, 32),
+    ),
+    "uniform-s1": lambda: _grid_setup(
+        uniform_grid_blocking(2, 16), FirstBlockPolicy(),
+        ModelParams(16, 48), RandomWalkAdversary(GRID2, (0, 0), seed=5),
+    ),
+    "strong-model": lambda: _grid_setup(
+        uniform_grid_blocking(2, 16), FirstBlockPolicy(),
+        ModelParams(16, 48, PagingModel.STRONG), GridCorridorAdversary(2, 16, 48),
+    ),
+    # Injected read faults: retries, replica fallbacks, and a run that
+    # ends in a typed error partway through.
+    "faulty-disk": lambda: _grid_setup(
+        offset_grid_blocking(2, 16), FarthestFaultPolicy(GRID2),
+        ModelParams(16, 32), GridCorridorAdversary(2, 16, 32),
+        reliability=ReliabilityConfig(
+            injector=ProbabilisticFaults(transient_rate=0.2, loss_rate=0.05, seed=3),
+            retry=ExponentialBackoff(max_attempts=3, seed=3),
+        ),
+    ),
+}
+
+
+def _outcome(run, instrumented=True):
+    """A run's trace snapshot, the type of the error that ended it (or
+    ``None``), and its event stream; ``run`` takes the hook to use."""
+    sink = RingBufferSink(capacity=1 << 16)
+    try:
+        trace = run(Instrumentation(sink=sink) if instrumented else None)
+        error = None
+    except ReproError as exc:
+        trace, error = exc.trace, type(exc)
+    return trace.snapshot(), error, sink.events
+
+
+class TestOneGameLoop:
+    """A fixed path and an adversary are one game: replaying through
+    ``run_path`` the vertices an adversary played through
+    ``run_adversary`` gives the same trace, the same error and the same
+    events, apart from ``run_start.driver``."""
+
+    @pytest.mark.parametrize("setup", sorted(PARITY_SETUPS))
+    def test_path_replay_of_an_adversary_game_matches(self, setup):
+        searcher, adversary = PARITY_SETUPS[setup]()
+        recorder = _Recorder(adversary)
+
+        def play(instr):
+            return searcher(instr).run_adversary(recorder, 600)
+
+        played = _outcome(play)
+        path = list(recorder.played)
+
+        def replay(instr):
+            return searcher(instr).run_path(path)
+
+        replayed = _outcome(replay)
+        assert replayed[:2] == played[:2]
+        first, *rest = played[2]
+        assert first.driver == "adversary" and len(rest) > len(path)
+        assert replayed[2] == [dataclasses.replace(first, driver="path"), *rest]
+        # Uninstrumented, both drivers make the same trace and error too.
+        for run in (play, replay):
+            assert _outcome(run, instrumented=False)[:2] == played[:2]
+
+    def test_the_faulty_setup_ends_in_a_typed_error(self):
+        """The parity above covers retries, fallbacks and a run ended
+        by an error only while this setup still produces them."""
+        searcher, adversary = PARITY_SETUPS["faulty-disk"]()
+        with pytest.raises(BlockReadError) as excinfo:
+            searcher().run_adversary(adversary, 600)
+        trace = excinfo.value.trace
+        assert trace.steps < 600 and trace.retries > 0 and trace.fallback_reads > 0
+
+    def test_an_empty_path_is_only_the_bracket(self):
+        sink = RingBufferSink()
+        searcher = Searcher(
+            path_graph(20), path_blocking(20, 5), FirstBlockPolicy(),
+            ModelParams(5, 10), instrumentation=Instrumentation(sink=sink),
+        )
+        assert searcher.run_path([]).snapshot() == SearchTrace().snapshot()
+        assert [event.kind for event in sink.events] == ["run_start", "run_end"]

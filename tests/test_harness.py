@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro import FirstBlockPolicy, ModelParams
+from repro import FirstBlockPolicy, ModelParams, PagingError
 from repro.adversaries import GridCorridorAdversary
 from repro.blockings import contiguous_1d_blocking
 from repro.experiments import (
@@ -136,6 +136,34 @@ class TestDegradationPath:
         assert result.error is not None
         assert "BudgetExceededError" in result.error
         assert math.isnan(result.sigma)  # no partial trace attached
+
+    def test_a_configuration_the_searcher_rejects_degrades(self):
+        """The :class:`Searcher` is built inside the guard, so a block
+        larger than memory is an errored cell, not a dead sweep."""
+        result = run_game(
+            "T",
+            "demo",
+            InfiniteGridGraph(1),
+            contiguous_1d_blocking(16),
+            FirstBlockPolicy(),
+            ModelParams(8, 8),
+            GridCorridorAdversary(1, 8, 8),
+            100,
+        )
+        assert result.error == "PagingError: blocking block size 16 exceeds M=8"
+        assert math.isnan(result.sigma) and result.trace is None
+        with pytest.raises(PagingError):
+            run_game(
+                "T",
+                "demo",
+                InfiniteGridGraph(1),
+                contiguous_1d_blocking(16),
+                FirstBlockPolicy(),
+                ModelParams(8, 8),
+                GridCorridorAdversary(1, 8, 8),
+                100,
+                catch_errors=False,
+            )
 
 
 class TestCheckResult:

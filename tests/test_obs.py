@@ -455,7 +455,7 @@ class TestMetrics:
             shards[i % 3].observe(v)
         merged = Histogram()
         for shard in shards:
-            merged.merge(shard)
+            merged.merge_wire(shard.to_wire())
         for q in (0, 25, 50, 75, 90, 99, 100):
             assert merged.percentile(q) == whole.percentile(q), q
 
@@ -478,8 +478,8 @@ class TestMetrics:
         self._fill(a, 1)
         self._fill(b, 2)
         merged = MetricsRegistry()
-        merged.merge(a)
-        merged.merge(b)
+        merged.merge_wire(a.to_wire())
+        merged.merge_wire(b.to_wire())
         assert merged.to_json() == single.to_json()
 
     def test_wire_round_trip_is_lossless(self):
@@ -902,16 +902,21 @@ class TestUndecodableTraces:
         elif case == "array-line":
             bad = 4
             lines[bad - 1] = "[1, 2]"
+        elif case == "non-utf8-last-line":
+            bad = len(lines)
+            # A raw 0xff byte, which no UTF-8 text contains.
+            lines[-1] = lines[-1][:20] + "\udcff" + lines[-1][20:]
         else:
             bad = 3
             lines[bad - 1] = '{"event":"nope","run":0}'
         broken = tmp_path / "broken.jsonl"
-        broken.write_text("\n".join(lines) + end, encoding="utf-8")
+        broken.write_bytes(("\n".join(lines) + end).encode("utf-8", "surrogateescape"))
         return broken, bad
 
     CASES = (
         "torn-last-line", "garbage-middle-line", "unknown-kind",
         "two-objects-one-line", "array-line", "torn-append",
+        "non-utf8-last-line",
     )
 
     @pytest.mark.parametrize("case", CASES)
@@ -939,6 +944,7 @@ class TestUndecodableTraces:
         "two-objects-one-line": r"undecodable JSON \(Extra data at column \d+\)",
         "array-line": r"not a JSON object: \[1, 2\]",
         "torn-append": r"torn final line \(.+ at column \d+\)",
+        "non-utf8-last-line": r"undecodable UTF-8 \(invalid start byte at byte 21\)",
     }
 
     @pytest.mark.parametrize("case", sorted(MESSAGES))

@@ -425,6 +425,13 @@ class TestBenchwatch:
         good = json.dumps(history_record(_rollup(0.1)))
         history.write_text(good + "\n" + good + "\n" + good[: len(good) // 2])
         assert len(load_history(history)) == 2
+        # A final append cut inside a multi-byte character is dropped too.
+        history.write_bytes((good + "\n" + good + "\n" + good[:20] + "é").encode()[:-1])
+        assert len(load_history(history)) == 2
+        # A line that is not UTF-8 before the tail is corruption.
+        history.write_bytes(b"\xff" + (good + "\n" + good + "\n").encode())
+        with pytest.raises(BenchWatchError, match=r"h\.jsonl:1: undecodable UTF-8"):
+            load_history(history)
         # A torn *middle* line is corruption, not a crash artifact.
         history.write_text(good[: len(good) // 2] + "\n" + good + "\n")
         with pytest.raises(BenchWatchError, match=r"h\.jsonl:1: undecodable JSON"):
@@ -739,6 +746,19 @@ class TestOpsReport:
         assert main([str(broken)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "broken.jsonl:2: " in err
+        # A cell record without a key the fold reads fails the same way.
+        for record, key in (
+            ('{"record": "cell", "status": "done"}', "index"),
+            ('{"record": "cell", "index": 0}', "status"),
+        ):
+            broken.write_text("\n".join([lines[0], record, *lines[1:]]) + "\n")
+            with pytest.raises(
+                ReportError, match=rf"broken\.jsonl:2: cell record has no '{key}'"
+            ):
+                load_report(manifest=broken)
+            assert main([str(broken)]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "broken.jsonl:2: " in err
         torn = tmp_path / "torn.jsonl"
         torn.write_text("\n".join(lines) + "\n" + lines[-1][:20])
         assert report_cells(load_report(manifest=torn)) == report_cells(
