@@ -50,7 +50,7 @@ from repro.experiments.io import (
     game_to_dict,
 )
 from repro.experiments.table1 import CellSpec
-from repro.obs.sinks import read_journal, require_keys
+from repro.obs.sinks import manifest_decoder, read_journal
 
 MANIFEST_SCHEMA = 1
 
@@ -213,26 +213,19 @@ class Manifest:
             )
 
 
-def _manifest_record(record: dict[str, Any]) -> dict[str, Any]:
-    """A journal record with every key :func:`load_manifest` reads."""
-    if record.get("record") == "campaign":
-        for cell in record.get("cells", []):
-            require_keys(cell, "header cell", "fingerprint", "name", "kind")
-    elif record.get("record") == "cell":
-        require_keys(record, "cell record", "index", "status")
-    return record
-
-
 def load_manifest(path: str | Path) -> Manifest:
     """Parse a manifest journal, folding cell records into latest state.
 
     A torn final append (a non-atomic writer killed mid-line) is
     ignored; any other line that is not one JSON object, or a record
-    that lacks a key the fold reads, raises :class:`ManifestError`
-    naming it.
+    that lacks a key the fold reads or names no cell of the header
+    (:func:`~repro.obs.sinks.manifest_decoder`), raises
+    :class:`ManifestError` naming it.
     """
     path = Path(path)
-    records = read_journal(path, _manifest_record, ManifestError)
+    records = read_journal(
+        path, manifest_decoder("fingerprint", "name", "kind"), ManifestError
+    )
     if not records:
         raise ManifestError(f"manifest {path} is empty")
     header = records[0]
@@ -258,12 +251,7 @@ def load_manifest(path: str | Path) -> Manifest:
     for record in records[1:]:
         if record.get("record") != "cell":
             continue
-        index = record["index"]
-        if not 0 <= index < len(manifest.fingerprints):
-            raise ManifestError(
-                f"manifest {path} references unknown cell index {index}"
-            )
-        state = manifest.cell(index)
+        state = manifest.cell(record["index"])
         state.status = record["status"]
         state.attempt = record.get("attempt", state.attempt)
         state.error = record.get("error")

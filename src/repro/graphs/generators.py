@@ -118,7 +118,11 @@ def random_regular_graph(n: int, degree: int, seed: int) -> AdjacencyGraph:
     and connected. ``n * degree`` must be even and ``degree < n``. Each
     restart shuffles a fresh copy of the same sorted stub list, so the
     graph is a function of ``(n, degree, seed)``; the restarts are part
-    of that function (``(512, 4, 7)`` takes 58 shuffles).
+    of that function (``(512, 4, 7)`` takes 58 shuffles). The shuffle
+    is ``Random.shuffle``'s own swap loop, run in this frame: each
+    ``j`` below ``i + 1`` is drawn the way ``Random._randbelow`` draws
+    it, with the same ``getrandbits(k)`` calls in the same order, so
+    the graph is the one ``random.Random(seed).shuffle`` would give.
     """
     if degree < 2:
         raise GraphError(f"degree must be >= 2, got {degree}")
@@ -126,11 +130,17 @@ def random_regular_graph(n: int, degree: int, seed: int) -> AdjacencyGraph:
         raise GraphError(f"degree {degree} must be < n {n}")
     if (n * degree) % 2:
         raise GraphError(f"n*degree must be even, got n={n}, degree={degree}")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     all_stubs = [v for v in range(n) for _ in range(degree)]
     for _ in range(1000):
         stubs = all_stubs[:]
-        rng.shuffle(stubs)
+        for i in range(len(stubs) - 1, 0, -1):
+            below = i + 1
+            k = below.bit_length()
+            j = getrandbits(k)
+            while j >= below:
+                j = getrandbits(k)
+            stubs[i], stubs[j] = stubs[j], stubs[i]
         edges = set()
         pairs = iter(stubs)
         for u, v in zip(pairs, pairs):

@@ -52,7 +52,7 @@ from repro.obs.forensics import document as forensics_document
 from repro.obs.forensics import render_markdown as render_forensics_markdown
 from repro.obs.metrics import Histogram
 from repro.obs.replay import fold_runs
-from repro.obs.sinks import read_journal, read_jsonl, require_keys
+from repro.obs.sinks import manifest_decoder, read_journal, read_jsonl
 
 
 class ReportError(ReproError):
@@ -122,16 +122,6 @@ class CampaignReport:
         return [self.cells[i] for i in sorted(self.cells)]
 
 
-def _manifest_record(record: dict[str, Any]) -> dict[str, Any]:
-    """A journal record with every key :func:`fold_manifest` reads."""
-    if record.get("record") == "campaign":
-        for spec in record.get("cells", []):
-            require_keys(spec, "header cell", "index", "name")
-    elif record.get("record") == "cell":
-        require_keys(record, "cell record", "index", "status")
-    return record
-
-
 def fold_manifest(report: CampaignReport, path: str | Path) -> None:
     """Fold a campaign manifest journal into the report.
 
@@ -140,7 +130,7 @@ def fold_manifest(report: CampaignReport, path: str | Path) -> None:
     lives in the observability layer and must not import the
     experiments package.
     """
-    records = read_journal(path, _manifest_record, ReportError)
+    records = read_journal(path, manifest_decoder("index", "name"), ReportError)
     if not records or records[0].get("record") != "campaign":
         raise ReportError(f"{path} does not start with a campaign header")
     header = records[0]
@@ -158,7 +148,7 @@ def fold_manifest(report: CampaignReport, path: str | Path) -> None:
             continue
         if kind != "cell":
             continue
-        summary = report.cell(int(record["index"]), str(record.get("name", "?")))
+        summary = report.cell(record["index"], str(record.get("name", "?")))
         status = str(record["status"])
         summary.attempt = int(record.get("attempt", summary.attempt))
         if status == "retrying":

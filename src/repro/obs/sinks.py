@@ -221,13 +221,48 @@ def read_records(
             yield record
 
 
-def require_keys(record: Any, what: str, *keys: str) -> None:
-    """For a ``decode`` function: a ``ValueError`` (which
-    :func:`read_records` reports at the record's ``path:line``) when
-    ``record`` lacks one of ``keys``."""
+def _require_keys(record: Any, what: str, keys: tuple[str, ...]) -> None:
     for key in keys:
         if key not in record:
             raise ValueError(f"{what} has no {key!r}")
+
+
+def manifest_decoder(
+    *header_keys: str,
+) -> Callable[[dict[str, Any]], dict[str, Any]]:
+    """A ``decode`` for a campaign manifest journal, checking what a
+    fold of it reads: ``header_keys`` in each header cell, and in each
+    cell record a ``status`` and an ``index`` that is an ``int`` (not a
+    ``bool``) naming a cell of the first header decoded. A record that
+    fails raises ``ValueError``, which :func:`read_records` reports at
+    its ``path:line``. The decoder keeps that header's cell count, so
+    each reading of a journal takes a fresh one."""
+    cells: int | None = None
+
+    def decode(record: dict[str, Any]) -> dict[str, Any]:
+        nonlocal cells
+        kind = record.get("record")
+        if kind == "campaign":
+            header = record.get("cells", [])
+            for cell in header:
+                _require_keys(cell, "header cell", header_keys)
+            if cells is None:
+                cells = len(header)
+        elif kind == "cell":
+            _require_keys(record, "cell record", ("index", "status"))
+            index = record["index"]
+            if type(index) is not int:
+                raise ValueError(
+                    f"cell record index {json.dumps(index)} is not an integer"
+                )
+            if cells is not None and not 0 <= index < cells:
+                raise ValueError(
+                    f"cell record index {index} names no cell of the header "
+                    f"(it lists {cells})"
+                )
+        return record
+
+    return decode
 
 
 def read_journal(

@@ -52,6 +52,8 @@ from repro.graphs import (
     InfiniteGridGraph,
     complete_graph,
     cycle_graph,
+    path_graph,
+    random_regular_graph,
     star_graph,
     torus_graph,
 )
@@ -546,13 +548,26 @@ class _FixedNeighbors(Graph):
         return True
 
 
+def _by_repr(neighbors):
+    return sorted(neighbors, key=repr)
+
+
 class TestRandomWalk:
     @pytest.mark.parametrize(
-        "graph, start",
-        [(InfiniteGridGraph(2), (0, 0)), (CompleteTree(2, 12), 0)],
-        ids=["grid2d", "tree"],
+        "graph, start, order",
+        [
+            (InfiniteGridGraph(2), (0, 0), list),
+            (CompleteTree(2, 12), 0, list),
+            # Tuple answers of degree 3: draws of 2 bits, one in four redrawn.
+            (random_regular_graph(20, 3, seed=5), 0, list),
+            # The end vertices have one neighbor: n = 1 draws 1 bit.
+            (path_graph(6), 0, list),
+            (_FixedNeighbors({"b", 3, (1, 2), "a", 0}), "a", _by_repr),
+        ],
+        ids=["grid2d", "tree", "random-regular", "path", "set"],
     )
-    def test_walk_draws_the_reference_vertices(self, graph, start):
+    def test_walk_draws_the_reference_vertices(self, graph, start, order):
+        # ``random.Random.choice`` is the reference for every draw.
         adversary = RandomWalkAdversary(graph, start, seed=11)
         walk = [start]
         for _ in range(2_000):
@@ -560,20 +575,58 @@ class TestRandomWalk:
         rng = random.Random(11)
         reference = [start]
         for _ in range(2_000):
-            reference.append(rng.choice(list(graph.neighbors(reference[-1]))))
+            reference.append(rng.choice(order(graph.neighbors(reference[-1]))))
         assert walk == reference
 
+    @pytest.mark.parametrize(
+        "graph, start",
+        [
+            (InfiniteGridGraph(2), (0, 0)),
+            (random_regular_graph(20, 3, seed=5), 0),
+            (_FixedNeighbors({"b", 3, (1, 2), "a"}), "a"),
+        ],
+        ids=["list", "tuple", "set"],
+    )
+    def test_a_step_calls_neighbors_once(self, graph, start, monkeypatch):
+        # Wrapped on the class after the walk is built, as perfbench's
+        # layer tracer wraps ``Graph.neighbors``: a copy of the method
+        # bound at construction would bypass it.
+        adversary = RandomWalkAdversary(graph, start, seed=3)
+        calls = []
+        neighbors = type(graph).neighbors
+
+        def counted(self, vertex):
+            calls.append(vertex)
+            return neighbors(self, vertex)
+
+        monkeypatch.setattr(type(graph), "neighbors", counted)
+        walk = [start]
+        for _ in range(500):
+            walk.append(adversary.step(walk[-1], None))
+        assert calls == walk[:-1]
+
+    @pytest.mark.parametrize(
+        "graph", [AdjacencyGraph([0]), _FixedNeighbors(set())], ids=["tuple", "set"]
+    )
+    def test_an_isolated_vertex_raises(self, graph):
+        with pytest.raises(AdversaryError, match="^0 has no neighbors$"):
+            RandomWalkAdversary(graph, 0).step(0, None)
+
     def test_canonical_neighbors_passes_lists_and_orders_the_rest(self):
+        # Lists and tuples pass as returned, not copied.
         listed = [(0, 1), (0, -1)]
         assert canonical_neighbors(_FixedNeighbors(listed), (0, 0)) is listed
+        tupled = ((0, 1), (0, -1))
+        assert canonical_neighbors(_FixedNeighbors(tupled), (0, 0)) is tupled
         graph = AdjacencyGraph.from_edges([(0, 2), (0, 1)])
-        assert graph.neighbors(0) == (2, 1)
-        ordered = canonical_neighbors(graph, 0)
-        assert type(ordered) is list and ordered == [2, 1]
+        assert canonical_neighbors(graph, 0) == (2, 1)  # insertion order
         unordered = {"b", 3, (1, 2), "a"}
         for collection in (unordered, frozenset(unordered)):
             ordered = canonical_neighbors(_FixedNeighbors(collection), 0)
             assert ordered == ["a", "b", (1, 2), 3]  # by repr
+        # Any other iterable is listed in its order.
+        ordered = canonical_neighbors(_FixedNeighbors({2: "x", 1: "y"}.keys()), 0)
+        assert type(ordered) is list and ordered == [2, 1]
 
     def test_deterministic_given_seed(self):
         graph = torus_graph((6, 6))

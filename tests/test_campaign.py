@@ -143,14 +143,25 @@ class TestManifest:
         path.write_text("\n".join([lines[0], lines[1][:20]]) + "\n")
         with pytest.raises(ManifestError, match=r"m\.jsonl:2: undecodable JSON"):
             load_manifest(path)
-        # A cell record without a key the fold reads is corruption too.
-        for record, key in (
-            ('{"record": "cell", "status": "done"}', "index"),
-            ('{"record": "cell", "index": 0}', "status"),
+        # A cell record without a key the fold reads, or whose index is
+        # not an int naming a header cell, is corruption too.
+        for record, message in (
+            ('{"record": "cell", "status": "done"}', "has no 'index'"),
+            ('{"record": "cell", "index": 0}', "has no 'status'"),
+            ('{"record": "cell", "index": "0", "status": "done"}',
+             'index "0" is not an integer'),
+            ('{"record": "cell", "index": 7, "status": "done"}',
+             r"index 7 names no cell of the header \(it lists 3\)"),
+            ('{"record": "cell", "index": 3, "status": "done"}',
+             r"index 3 names no cell of the header \(it lists 3\)"),
+            ('{"record": "cell", "index": -1, "status": "done"}',
+             r"index -1 names no cell of the header \(it lists 3\)"),
+            ('{"record": "cell", "index": true, "status": "done"}',
+             "index true is not an integer"),
         ):
             path.write_text("\n".join([lines[0], record, lines[1]]) + "\n")
             with pytest.raises(
-                ManifestError, match=rf"m\.jsonl:2: cell record has no '{key}'"
+                ManifestError, match=rf"m\.jsonl:2: cell record {message}"
             ):
                 load_manifest(path)
 

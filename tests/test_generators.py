@@ -104,6 +104,27 @@ class TestRandomFamilies:
         assert shuffles == 58
         assert _adjacency(random_regular_graph(512, 4, seed=7)) == _adjacency(graph)
 
+    @pytest.mark.parametrize(
+        "n, degree, seed",
+        [
+            (n, degree, seed)
+            for n in (6, 9, 12, 31)
+            for degree in (2, 3, 4, 5)
+            for seed in (0, 1, 2)
+            if degree < n and n * degree % 2 == 0
+        ]
+        + [(512, 4, 7)],
+    )
+    def test_regular_graph_draws_what_random_shuffle_draws(self, n, degree, seed):
+        # The shuffle is written out in the generator; the reference
+        # shuffles with ``random.Random(seed).shuffle``.
+        graph, _ = _loop_random_regular_graph(n, degree, seed)
+        if graph is None:
+            with pytest.raises(GraphError):
+                random_regular_graph(n, degree, seed=seed)
+        else:
+            assert _adjacency(random_regular_graph(n, degree, seed=seed)) == _adjacency(graph)
+
     @settings(max_examples=200, deadline=None)
     @given(
         params=st.integers(2, 5).flatmap(
@@ -148,8 +169,9 @@ def _adjacency(graph):
 
 def _loop_random_regular_graph(n, degree, seed):
     """``random_regular_graph``'s pairing loop as it was before the stub
-    list was prebuilt, kept as the reference: the graph (``None`` after
-    1000 failed shuffles) and the number of shuffles it took."""
+    list was prebuilt and the shuffle written out, kept as the
+    reference with ``random.Random(seed).shuffle``: the graph (``None``
+    after 1000 failed shuffles) and the number of shuffles it took."""
     rng = random.Random(seed)
     for attempt in range(1, 1001):
         stubs = [v for v in range(n) for _ in range(degree)]

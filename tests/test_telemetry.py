@@ -746,14 +746,25 @@ class TestOpsReport:
         assert main([str(broken)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "broken.jsonl:2: " in err
-        # A cell record without a key the fold reads fails the same way.
-        for record, key in (
-            ('{"record": "cell", "status": "done"}', "index"),
-            ('{"record": "cell", "index": 0}', "status"),
+        # A cell record without a key the fold reads, or whose index is
+        # not an int naming a header cell, fails the same way.
+        for record, message in (
+            ('{"record": "cell", "status": "done"}', "has no 'index'"),
+            ('{"record": "cell", "index": 0}', "has no 'status'"),
+            ('{"record": "cell", "index": "0", "status": "done"}',
+             'index "0" is not an integer'),
+            ('{"record": "cell", "index": 7, "status": "done"}',
+             r"index 7 names no cell of the header \(it lists 2\)"),
+            ('{"record": "cell", "index": 2, "status": "done"}',
+             r"index 2 names no cell of the header \(it lists 2\)"),
+            ('{"record": "cell", "index": -1, "status": "done"}',
+             r"index -1 names no cell of the header \(it lists 2\)"),
+            ('{"record": "cell", "index": true, "status": "done"}',
+             "index true is not an integer"),
         ):
             broken.write_text("\n".join([lines[0], record, *lines[1:]]) + "\n")
             with pytest.raises(
-                ReportError, match=rf"broken\.jsonl:2: cell record has no '{key}'"
+                ReportError, match=rf"broken\.jsonl:2: cell record {message}"
             ):
                 load_report(manifest=broken)
             assert main([str(broken)]) == 2
