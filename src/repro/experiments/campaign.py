@@ -25,12 +25,12 @@ sweep's only multi-process runner: the CLI's ``--jobs N`` without
   an errored :class:`~repro.experiments.harness.ExperimentResult` —
   exactly the harness's existing degradation contract — while its
   siblings run to completion;
-* campaign transitions are published to the ambient :mod:`repro.obs`
-  layer as typed events (``cell_started`` / ``cell_retried`` /
-  ``worker_died`` / ``cell_finished`` / ``campaign_resumed``) plus
-  metrics counters, and the :mod:`~repro.experiments.chaos` harness
-  injects worker kills, straggler delays, and spill corruption so all
-  of the above is itself tested;
+* campaign transitions are counted in the ambient :mod:`repro.obs`
+  metrics registry (the ``campaign_*`` counters and the retry-delay
+  histogram); the manifest is their only record, and the parent emits
+  no trace events. The :mod:`~repro.experiments.chaos` harness injects
+  worker kills, straggler delays, and spill corruption so all of the
+  above is itself tested;
 * with ``trace_out=`` (CLI ``--trace-out``) or an ambient metrics
   registry installed, the telemetry plane (:mod:`repro.obs.spans`)
   ships per-worker shards: each attempt records its engine events and
@@ -65,19 +65,13 @@ from repro.errors import ReproError
 from repro.experiments.chaos import ChaosConfig, ChaosController
 from repro.experiments.harness import CheckResult, ExperimentResult
 from repro.experiments.manifest import (
-    Manifest,
     ManifestWriter,
     load_manifest,
     sweep_digest,
 )
 from repro.experiments.table1 import CellSpec, cell_specs, run_cell
 from repro.obs import (
-    CampaignResumeEvent,
-    CellEndEvent,
-    CellRetryEvent,
-    CellStartEvent,
     ShardRef,
-    WorkerDeathEvent,
     current_instrumentation,
     merge_shard_metrics,
     merge_shards,
@@ -170,28 +164,19 @@ class _Active:
     deadline: float | None  # monotonic seconds; None = no watchdog
 
 
-def _obs() -> tuple[Any, Any]:
-    """The ambient sink and metrics registry (either may be None)."""
-    instr = current_instrumentation()
-    if instr is None:
-        return None, None
-    return getattr(instr, "sink", None), getattr(instr, "metrics", None)
-
-
-def _emit(event: Any) -> None:
-    sink, _ = _obs()
-    if sink is not None:
-        sink.emit(event)
+def _metrics() -> Any:
+    """The ambient metrics registry, or None."""
+    return getattr(current_instrumentation(), "metrics", None)
 
 
 def _count(name: str, amount: int = 1) -> None:
-    _, metrics = _obs()
+    metrics = _metrics()
     if metrics is not None:
         metrics.counter(name).inc(amount)
 
 
 def _observe(name: str, value: float) -> None:
-    _, metrics = _obs()
+    metrics = _metrics()
     if metrics is not None:
         metrics.histogram(name).observe(value)
 
@@ -289,14 +274,6 @@ def run_campaign(
                 "pending": len(pending),
             }
         )
-        _emit(
-            CampaignResumeEvent(
-                run=-1,
-                campaign_id=manifest.campaign_id,
-                completed=len(results),
-                pending=len(pending),
-            )
-        )
         _count("campaign_resumes")
     else:
         writer = ManifestWriter.create(manifest_path, specs, meta=meta)
@@ -319,7 +296,7 @@ def run_campaign(
     # fold back into it). Cells completed on a previous run — resumed
     # from the journal, their shards long gone — stay as placeholder
     # refs the merge marks incomplete rather than failing.
-    _, ambient_metrics = _obs()
+    ambient_metrics = _metrics()
     telemetry = trace_out is not None or ambient_metrics is not None
     shards: dict[int, ShardRef] = {}
 
@@ -335,15 +312,6 @@ def run_campaign(
         spec = job.spec
         if delay is not None:
             writer.cell_retrying(job.index, spec.name, job.attempt, reason, delay)
-            _emit(
-                CellRetryEvent(
-                    run=job.index,
-                    cell=spec.name,
-                    attempt=job.attempt,
-                    reason=reason,
-                    delay=delay,
-                )
-            )
             _count("campaign_retries")
             _observe("campaign_retry_delay", delay)
             not_before = (
@@ -358,11 +326,6 @@ def run_campaign(
             f"last failure: {reason}"
         )
         writer.cell_failed(job.index, spec.name, job.attempt, error)
-        _emit(
-            CellEndEvent(
-                run=job.index, cell=spec.name, attempt=job.attempt, status="failed"
-            )
-        )
         _count("campaign_cells_failed")
         if spec.kind != "game":
             raise CampaignError(
@@ -411,23 +374,10 @@ def run_campaign(
                     workdir, job.index, spec.name, job.attempt
                 )
             writer.cell_done(job.index, spec.name, job.attempt, out, spec.kind)
-            _emit(
-                CellEndEvent(
-                    run=job.index,
-                    cell=spec.name,
-                    attempt=job.attempt,
-                    status="done",
-                )
-            )
             _count("campaign_cells_done")
             finish(job.index, spec.name)
             return
         reason = "killed" if (exitcode is not None and exitcode < 0) else "crashed"
-        _emit(
-            WorkerDeathEvent(
-                run=job.index, cell=spec.name, attempt=job.attempt, exitcode=exitcode
-            )
-        )
         _count("campaign_worker_deaths")
         fail_attempt(job, reason)
 
@@ -459,9 +409,6 @@ def run_campaign(
                 proc = ctx.Process(target=_cell_worker, args=(task,), daemon=True)
                 proc.start()
                 writer.cell_started(index, spec.name, attempt)
-                _emit(
-                    CellStartEvent(run=index, cell=spec.name, attempt=attempt)
-                )
                 _count("campaign_cells_started")
                 deadline = now + cell_timeout if cell_timeout is not None else None
                 active.append(
@@ -567,19 +514,3 @@ def run_campaign(
             checks += out  # type: ignore[arg-type]
     return games, checks
 
-
-def campaign_status(manifest_path: str | Path) -> dict[str, Any]:
-    """A summary of a manifest's journaled progress (for tooling)."""
-    manifest: Manifest = load_manifest(manifest_path)
-    by_status: dict[str, int] = {}
-    for index in range(len(manifest.fingerprints)):
-        state = manifest.cell(index)
-        by_status[state.status] = by_status.get(state.status, 0) + 1
-    return {
-        "campaign_id": manifest.campaign_id,
-        "cells": len(manifest.fingerprints),
-        "completed": len(manifest.completed_indices()),
-        "pending": len(manifest.pending_indices()),
-        "by_status": by_status,
-        "records": manifest.records,
-    }

@@ -175,10 +175,6 @@ class Manifest:
     cells: dict[int, CellState] = field(default_factory=dict)
     lines: list[str] = field(default_factory=list)
 
-    @property
-    def records(self) -> int:
-        return len(self.lines)
-
     def cell(self, index: int) -> CellState:
         state = self.cells.get(index)
         if state is None:

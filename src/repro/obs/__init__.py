@@ -39,23 +39,16 @@ from repro.obs.events import (
     EVENT_TYPES,
     BlockReadEvent,
     CampaignEvent,
-    CampaignResumeEvent,
-    CellEndEvent,
-    CellRetryEvent,
-    CellStartEvent,
     EvictionEvent,
     FallbackEvent,
     FaultEvent,
     RetryEvent,
     RunEndEvent,
     RunStartEvent,
-    ServiceRequestEvent,
-    ServiceShedEvent,
     ShardMergedEvent,
     StepEvent,
     TraceEvent,
     TraceFooterEvent,
-    WorkerDeathEvent,
     event_from_dict,
 )
 from repro.obs.instrument import Instrumentation, InstrumentationHook
@@ -95,10 +88,6 @@ __all__ = [
     "EVENT_TYPES",
     "BlockReadEvent",
     "CampaignEvent",
-    "CampaignResumeEvent",
-    "CellEndEvent",
-    "CellRetryEvent",
-    "CellStartEvent",
     "CompositeSink",
     "Counter",
     "EvictionEvent",
@@ -118,8 +107,6 @@ __all__ = [
     "RingBufferSink",
     "RunEndEvent",
     "RunStartEvent",
-    "ServiceRequestEvent",
-    "ServiceShedEvent",
     "ShardMergedEvent",
     "ShardRecorder",
     "ShardRef",
@@ -128,7 +115,6 @@ __all__ = [
     "TraceEvent",
     "TraceFooterEvent",
     "TraceSink",
-    "WorkerDeathEvent",
     "bench_rollup",
     "current_instrumentation",
     "event_from_dict",

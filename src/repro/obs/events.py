@@ -8,16 +8,14 @@ an unreliable disk forces re-reads (``retry``) and replica fallbacks
 (``fallback``), and the run ends (``run_end``) carrying the final
 :class:`~repro.core.stats.SearchTrace` snapshot.
 
-The crash-safe campaign runner (:mod:`repro.experiments.campaign`)
-adds five orchestration-level kinds on top — ``cell_started``,
-``cell_finished``, ``cell_retried``, ``worker_died``, and
-``campaign_resumed`` — all subclasses of :class:`CampaignEvent`. They
-share the wire form but describe worker supervision rather than game
-moves; replay skips them when reconstructing engine runs. The
-telemetry plane (:mod:`repro.obs.spans`) adds two more:
-``shard_merged`` (the causality record linking a cell to its engine
-runs in a merged campaign trace) and ``trace_footer`` (the closing
-completeness statement of any finished trace).
+Two more records frame a trace, both subclasses of
+:class:`CampaignEvent`, and join no engine run: ``shard_merged`` (the
+telemetry plane's causality record linking a campaign cell to its
+engine runs in a merged trace, :mod:`repro.obs.spans`) and
+``trace_footer`` (the closing completeness statement of any finished
+trace). A campaign's supervision (cells started, retried, finished,
+workers killed, resumes) is journaled in its manifest
+(:mod:`repro.experiments.manifest`), not traced.
 
 Events are plain frozen dataclasses with a stable wire form
 (:meth:`TraceEvent.to_json` / :func:`event_from_dict`): one JSON object
@@ -323,90 +321,15 @@ class RunEndEvent(TraceEvent):
 
 @dataclass(frozen=True)
 class CampaignEvent(TraceEvent):
-    """Base of campaign-level events (the crash-safe sweep runner).
+    """Base of the records that join no engine run (``shard_merged``
+    and ``trace_footer``).
 
-    Campaign events describe the *orchestration* of cells, not the
-    engine's game moves: ``run`` carries the cell's index in the sweep
-    (``-1`` for campaign-wide events), never an engine run id. Replay
-    skips them when folding engine runs, so a mixed trace still
-    reconstructs exactly.
+    ``run`` carries a campaign cell's index in the sweep (``-1`` for a
+    trace-wide record), never an engine run id. The event fold
+    (:func:`repro.obs.replay.fold_runs`) and the shard merge
+    (:func:`repro.obs.spans.merge_shards`) dispatch on this base, so a
+    framed trace still reconstructs exactly.
     """
-
-
-@dataclass(frozen=True)
-class CellStartEvent(CampaignEvent):
-    """A campaign cell's worker was launched (attempt is 1-based)."""
-
-    kind: ClassVar[str] = "cell_started"
-
-    cell: str
-    attempt: int
-
-
-@dataclass(frozen=True)
-class CellEndEvent(CampaignEvent):
-    """A campaign cell reached a terminal state.
-
-    ``status`` is ``"done"`` (results journaled) or ``"failed"`` (all
-    retry attempts exhausted; the cell degraded into an errored
-    :class:`~repro.experiments.harness.ExperimentResult`).
-    """
-
-    kind: ClassVar[str] = "cell_finished"
-
-    cell: str
-    attempt: int
-    status: str
-
-
-@dataclass(frozen=True)
-class CellRetryEvent(CampaignEvent):
-    """A cell attempt failed and a retry was granted.
-
-    ``reason`` is ``"killed"`` (the worker died on a signal),
-    ``"crashed"`` (nonzero exit), ``"timeout"`` (the per-cell watchdog
-    fired), or ``"corrupt-result"`` (the worker exited cleanly but its
-    result spill was unreadable). ``delay`` is the backoff the retry
-    policy granted, in its modeled units.
-    """
-
-    kind: ClassVar[str] = "cell_retried"
-
-    cell: str
-    attempt: int
-    reason: str
-    delay: float | None
-
-
-@dataclass(frozen=True)
-class WorkerDeathEvent(CampaignEvent):
-    """A pool worker died mid-cell (killed or crashed).
-
-    ``exitcode`` is the process exit status — negative values are the
-    signal number (``-9`` for SIGKILL), ``None`` when the process
-    vanished without reporting one.
-    """
-
-    kind: ClassVar[str] = "worker_died"
-
-    cell: str
-    attempt: int
-    exitcode: int | None
-
-
-@dataclass(frozen=True)
-class CampaignResumeEvent(CampaignEvent):
-    """A campaign was resumed from its journaled manifest.
-
-    ``completed`` cells were loaded from the manifest and skipped;
-    ``pending`` cells (never finished, or failed) will be (re)run.
-    """
-
-    kind: ClassVar[str] = "campaign_resumed"
-
-    campaign_id: str
-    completed: int
-    pending: int
 
 
 @dataclass(frozen=True)
@@ -452,50 +375,6 @@ class TraceFooterEvent(CampaignEvent):
     events_dropped: int = 0
 
 
-@dataclass(frozen=True)
-class ServiceRequestEvent(CampaignEvent):
-    """The search service completed (or failed) one client request.
-
-    Service events are orchestration-level, like campaign events:
-    ``run`` is ``-1`` (a request is not an engine run; its engine runs,
-    if traced, carry their own ids) and replay skips them. ``latency``
-    is in the service's modeled work units (steps plus a configured
-    per-read cost), not wall-clock — traces stay machine-independent.
-    ``hits``/``misses`` count the request's shared-cache outcomes and
-    ``coalesced`` the misses that piggybacked on another request's
-    in-flight read instead of issuing their own.
-    """
-
-    kind: ClassVar[str] = "service_request"
-
-    tenant: str
-    request: str
-    workload: str
-    outcome: str  # "ok" | "error:<ExceptionType>"
-    steps: int
-    faults: int
-    hits: int
-    misses: int
-    coalesced: int
-    latency: float
-
-
-@dataclass(frozen=True)
-class ServiceShedEvent(CampaignEvent):
-    """The search service rejected a request with a typed error.
-
-    ``reason`` is ``"queue-full"`` (global bound), ``"tenant-queue-full"``
-    (per-tenant pending bound), ``"budget"`` (a block larger than the
-    tenant's cache budget), or ``"closed"`` (submitted while draining).
-    """
-
-    kind: ClassVar[str] = "service_shed"
-
-    tenant: str
-    request: str
-    reason: str
-
-
 EVENT_TYPES: dict[str, type[TraceEvent]] = {
     cls.kind: cls
     for cls in (
@@ -507,15 +386,8 @@ EVENT_TYPES: dict[str, type[TraceEvent]] = {
         FallbackEvent,
         EvictionEvent,
         RunEndEvent,
-        CellStartEvent,
-        CellEndEvent,
-        CellRetryEvent,
-        WorkerDeathEvent,
-        CampaignResumeEvent,
         ShardMergedEvent,
         TraceFooterEvent,
-        ServiceRequestEvent,
-        ServiceShedEvent,
     )
 }
 

@@ -156,7 +156,8 @@ def fold_runs(
     ``shard_merged`` record, if its ``[run_base, run_base + runs)``
     range holds the run — and ``add`` takes each later event of the run.
 
-    Campaign events carry cell indices, not run ids, and join no run.
+    The records that frame a trace (``shard_merged`` and
+    ``trace_footer``) carry cell indices, not run ids, and join no run.
     An engine event before its run's ``run_start``, or a second
     ``run_start`` for one run, raises :class:`ReproError` naming the run.
     """

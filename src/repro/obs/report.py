@@ -128,16 +128,17 @@ def fold_manifest(report: CampaignReport, path: str | Path) -> None:
     Reads the wire form ``repro.experiments.manifest`` commits with the
     shared reader (:func:`~repro.obs.sinks.read_journal`); the report
     lives in the observability layer and must not import the
-    experiments package.
+    experiments package. Header cells are keyed by their position, as
+    :func:`~repro.experiments.manifest.load_manifest` keys them.
     """
-    records = read_journal(path, manifest_decoder("index", "name"), ReportError)
+    records = read_journal(path, manifest_decoder("name"), ReportError)
     if not records or records[0].get("record") != "campaign":
         raise ReportError(f"{path} does not start with a campaign header")
     header = records[0]
     report.campaign_id = str(header.get("campaign_id", ""))
     report.meta = dict(header.get("meta", {}))
-    for spec in header.get("cells", []):
-        summary = report.cell(int(spec["index"]), str(spec["name"]))
+    for index, spec in enumerate(header.get("cells", [])):
+        summary = report.cell(index, str(spec["name"]))
         summary.name = str(spec["name"])
         summary.kind = str(spec.get("kind", "game"))
         summary.status = "pending"
@@ -150,7 +151,7 @@ def fold_manifest(report: CampaignReport, path: str | Path) -> None:
             continue
         summary = report.cell(record["index"], str(record.get("name", "?")))
         status = str(record["status"])
-        summary.attempt = int(record.get("attempt", summary.attempt))
+        summary.attempt = record.get("attempt", summary.attempt)
         if status == "retrying":
             reason = str(record.get("error", "unknown"))
             summary.retry_reasons[reason] = summary.retry_reasons.get(reason, 0) + 1

@@ -232,8 +232,9 @@ def manifest_decoder(
 ) -> Callable[[dict[str, Any]], dict[str, Any]]:
     """A ``decode`` for a campaign manifest journal, checking what a
     fold of it reads: ``header_keys`` in each header cell, and in each
-    cell record a ``status`` and an ``index`` that is an ``int`` (not a
-    ``bool``) naming a cell of the first header decoded. A record that
+    cell record a ``status``, an ``index`` that is an ``int`` (not a
+    ``bool``) naming a cell of the first header decoded, and an
+    ``attempt``, when present, that is an ``int`` too. A record that
     fails raises ``ValueError``, which :func:`read_records` reports at
     its ``path:line``. The decoder keeps that header's cell count, so
     each reading of a journal takes a fresh one."""
@@ -250,11 +251,13 @@ def manifest_decoder(
                 cells = len(header)
         elif kind == "cell":
             _require_keys(record, "cell record", ("index", "status"))
+            for key in ("index", "attempt"):  # an absent attempt passes
+                value = record.get(key, 0)
+                if type(value) is not int:
+                    raise ValueError(
+                        f"cell record {key} {json.dumps(value)} is not an integer"
+                    )
             index = record["index"]
-            if type(index) is not int:
-                raise ValueError(
-                    f"cell record index {json.dumps(index)} is not an integer"
-                )
             if cells is not None and not 0 <= index < cells:
                 raise ValueError(
                     f"cell record index {index} names no cell of the header "

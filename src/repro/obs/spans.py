@@ -190,10 +190,10 @@ def merge_shards(
     order, each contributes its ``shard_merged`` causality record and
     then its engine events in emission order, with run ids renumbered
     onto one global sequence (``run_base`` accumulates across cells).
-    Worker-side campaign events (there should be none) are skipped so
-    the merge is idempotent. The output ends with a ``trace_footer``
-    totalling events and drops — the merged trace carries its own
-    completeness statement.
+    Records that join no run (a shard holds none but its footer) are
+    skipped so the merge is idempotent. The output ends with a
+    ``trace_footer`` totalling events and drops — the merged trace
+    carries its own completeness statement.
     """
     ordered = sorted(shards, key=lambda ref: ref.index)
     sink = JsonlSink(out_path)

@@ -4,8 +4,7 @@ Builds a store, starts the service, drives a generated burst through
 it (closed lockstep / closed threaded / open loop), drains, and prints
 a JSON summary. ``--metrics-out`` writes the merged metrics snapshot
 (byte-identical across re-runs in ``--mode closed`` — the CI smoke
-diffs two of them); ``--trace-out`` writes the service's typed event
-stream as JSONL, footer included.
+diffs two of them), the record of every request, latency and shed.
 """
 
 from __future__ import annotations
@@ -24,9 +23,7 @@ from repro.experiments.loadgen import (
     isolated_block_reads,
     open_loop,
 )
-from repro.obs.events import TraceFooterEvent
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.sinks import JsonlSink
 from repro.service.server import SearchService, ServiceConfig, TenantConfig
 from repro.service.stores import STORE_FAMILIES, StoreSpec, build_store
 
@@ -100,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
         "and report the disk reads saved by sharing",
     )
     out.add_argument("--metrics-out", metavar="PATH")
-    out.add_argument("--trace-out", metavar="PATH")
     return parser
 
 
@@ -118,7 +114,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     tenant_names = tuple(
         name.strip() for name in args.tenants.split(",") if name.strip()
     )
-    sink = JsonlSink(args.trace_out) if args.trace_out else None
     metrics = MetricsRegistry()
     service = SearchService(
         store,
@@ -137,7 +132,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             read_cost=args.read_cost,
         ),
         metrics=metrics,
-        sink=sink,
     )
     load = LoadSpec(
         clients=args.clients,
@@ -160,11 +154,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             shed_count = len(sheds)
     finally:
         service.drain()
-        if sink is not None:
-            sink.emit(
-                TraceFooterEvent(run=-1, events_emitted=sink.events_written)
-            )
-            sink.close()
     summary = service.summary()
     summary["mode"] = args.mode
     summary["shed_total"] = shed_count

@@ -41,9 +41,7 @@ from repro.errors import (
     ServiceOverloadError,
     TenantBudgetError,
 )
-from repro.obs.events import ServiceRequestEvent, ServiceShedEvent
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.sinks import TraceSink
 from repro.service.cache import CacheStats, SharedBlockCache
 from repro.service.requests import RequestSpec, run_request
 from repro.service.stores import ServiceStore
@@ -104,7 +102,6 @@ class SearchService:
         tenants: Sequence[TenantConfig],
         config: ServiceConfig | None = None,
         metrics: MetricsRegistry | None = None,
-        sink: TraceSink | None = None,
     ) -> None:
         self.store = store
         self.config = config if config is not None else ServiceConfig()
@@ -123,8 +120,6 @@ class SearchService:
                 tenant.name, tenant.budget_copies(block_size)
             )
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._sink = sink
-        self._sink_lock = threading.Lock()
         self._queue: "queue.Queue[tuple[RequestSpec, Future[RequestOutcome]] | None]" = (
             queue.Queue(maxsize=self.config.queue_bound)
         )
@@ -171,8 +166,8 @@ class SearchService:
             raise ServiceError(f"unknown tenant {spec.tenant!r}")
         # Admission is decided entirely under the state lock (so a
         # drain cannot slip between the closed check and the pending
-        # bump), but shedding — metrics + sink emit, i.e. other locks
-        # and possible I/O — happens strictly after release.
+        # bump), but shedding — a metrics update, i.e. another lock —
+        # happens strictly after release.
         shed_reason: str | None = None
         with self._state_lock:
             if self._closed:
@@ -182,12 +177,12 @@ class SearchService:
             else:
                 self._pending[spec.tenant] += 1
         if shed_reason == "closed":
-            self._shed(spec, shed_reason)
+            self._shed(shed_reason)
             raise ServiceClosedError(
                 f"service is draining; request {spec.name!r} rejected"
             )
         if shed_reason is not None:
-            self._shed(spec, shed_reason)
+            self._shed(shed_reason)
             raise ServiceOverloadError(
                 f"tenant {spec.tenant!r} already has "
                 f"{tenant.max_pending} requests pending",
@@ -200,7 +195,7 @@ class SearchService:
         except queue.Full:
             with self._state_lock:
                 self._pending[spec.tenant] -= 1
-            self._shed(spec, "queue-full")
+            self._shed("queue-full")
             raise ServiceOverloadError(
                 f"service queue is full ({self.config.queue_bound}); "
                 f"request {spec.name!r} rejected",
@@ -287,7 +282,7 @@ class SearchService:
         try:
             trace, facade = run_request(self.store, spec, self.cache)
         except TenantBudgetError as exc:
-            self._shed(spec, "budget")
+            self._shed("budget")
             self._finish_error(spec, exc, future)
             return
         except ReproError as exc:
@@ -317,21 +312,6 @@ class SearchService:
         self.metrics.histogram("service_latency").observe(latency)
         self.metrics.histogram("service_steps").observe(trace.steps)
         self.metrics.histogram("service_faults").observe(trace.faults)
-        self._emit(
-            ServiceRequestEvent(
-                run=-1,
-                tenant=spec.tenant,
-                request=spec.name,
-                workload=spec.workload,
-                outcome="ok",
-                steps=trace.steps,
-                faults=trace.faults,
-                hits=facade.hits,
-                misses=facade.misses,
-                coalesced=facade.coalesced,
-                latency=latency,
-            )
-        )
         self._release(spec)
         future.set_result(
             RequestOutcome(
@@ -352,21 +332,6 @@ class SearchService:
         future: "Future[RequestOutcome]",
     ) -> None:
         self.metrics.counter("service_errors").inc()
-        self._emit(
-            ServiceRequestEvent(
-                run=-1,
-                tenant=spec.tenant,
-                request=spec.name,
-                workload=spec.workload,
-                outcome=f"error:{type(exc).__name__}",
-                steps=0,
-                faults=0,
-                hits=0,
-                misses=0,
-                coalesced=0,
-                latency=0.0,
-            )
-        )
         self._release(spec)
         future.set_exception(exc)
 
@@ -374,16 +339,5 @@ class SearchService:
         with self._state_lock:
             self._pending[spec.tenant] -= 1
 
-    def _shed(self, spec: RequestSpec, reason: str) -> None:
+    def _shed(self, reason: str) -> None:
         self.metrics.labeled_counter("service_shed").inc(reason)
-        self._emit(
-            ServiceShedEvent(
-                run=-1, tenant=spec.tenant, request=spec.name, reason=reason
-            )
-        )
-
-    def _emit(self, event: ServiceRequestEvent | ServiceShedEvent) -> None:
-        if self._sink is None:
-            return
-        with self._sink_lock:
-            self._sink.emit(event)

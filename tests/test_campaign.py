@@ -22,7 +22,6 @@ from repro.experiments import (
     ChaosConfig,
     ManifestError,
     ManifestWriter,
-    campaign_status,
     cell_specs,
     corrupt_file,
     dump_results,
@@ -33,8 +32,8 @@ from repro.experiments import (
 )
 from repro.obs import (
     Instrumentation,
+    JsonlSink,
     MetricsRegistry,
-    RingBufferSink,
     use_instrumentation,
 )
 
@@ -51,6 +50,15 @@ def _dump_bytes(tmp_path, tag, games, checks):
 def _serial_bytes(tmp_path, names=SUBSET):
     games, checks = run_all(quick=True, names=names)
     return _dump_bytes(tmp_path, "serial", games, checks)
+
+
+def _retry_reasons(path):
+    """The reason of every ``retrying`` record the manifest journaled."""
+    return [
+        record["error"]
+        for record in map(json.loads, load_manifest(path).lines)
+        if record.get("status") == "retrying"
+    ]
 
 
 class TestManifest:
@@ -158,6 +166,10 @@ class TestManifest:
              r"index -1 names no cell of the header \(it lists 3\)"),
             ('{"record": "cell", "index": true, "status": "done"}',
              "index true is not an integer"),
+            ('{"record": "cell", "index": 0, "status": "done", "attempt": "x"}',
+             'attempt "x" is not an integer'),
+            ('{"record": "cell", "index": 0, "status": "done", "attempt": true}',
+             "attempt true is not an integer"),
         ):
             path.write_text("\n".join([lines[0], record, lines[1]]) + "\n")
             with pytest.raises(
@@ -196,13 +208,16 @@ class TestCampaignRuns:
     def test_resume_of_completed_campaign_runs_nothing(self, tmp_path):
         path = tmp_path / "m.jsonl"
         run_campaign(path, quick=True, jobs=1, names=SUBSET)
-        sink = RingBufferSink()
-        with use_instrumentation(Instrumentation(sink=sink)):
-            games, checks = run_campaign(
-                path, quick=True, jobs=1, names=SUBSET, resume=True
-            )
-        kinds = [e.kind for e in sink.events]
-        assert kinds == ["campaign_resumed"]  # no cell ever started
+        before = load_manifest(path).lines
+        games, checks = run_campaign(
+            path, quick=True, jobs=1, names=SUBSET, resume=True
+        )
+        after = load_manifest(path).lines
+        # One resume record and no cell record: no cell ever started.
+        assert after[: len(before)] == before
+        (appended,) = map(json.loads, after[len(before):])
+        assert appended["record"] == "resume"
+        assert (appended["completed"], appended["pending"]) == (3, 0)
         assert _dump_bytes(tmp_path, "resumed", games, checks) == _serial_bytes(
             tmp_path
         )
@@ -237,9 +252,8 @@ class TestCampaignRuns:
 
 class TestChaosRecovery:
     def test_worker_kill_is_retried_and_byte_identical(self, tmp_path):
-        sink = RingBufferSink()
         metrics = MetricsRegistry()
-        with use_instrumentation(Instrumentation(sink=sink, metrics=metrics)):
+        with use_instrumentation(Instrumentation(metrics=metrics)):
             games, checks = run_campaign(
                 tmp_path / "m.jsonl",
                 quick=True,
@@ -250,45 +264,38 @@ class TestChaosRecovery:
         assert _dump_bytes(tmp_path, "chaos", games, checks) == _serial_bytes(
             tmp_path
         )
-        kinds = [e.kind for e in sink.events]
-        assert kinds.count("worker_died") == 1
-        assert kinds.count("cell_retried") == 1
-        deaths = [e for e in sink.events if e.kind == "worker_died"]
-        assert deaths[0].exitcode == -signal.SIGKILL
+        # A negative exit code (the SIGKILL) is journaled as "killed".
+        assert _retry_reasons(tmp_path / "m.jsonl") == ["killed"]
         assert metrics.counter("campaign_worker_deaths").value == 1
 
     def test_corrupt_spill_is_rejected_and_retried(self, tmp_path):
-        sink = RingBufferSink()
-        with use_instrumentation(Instrumentation(sink=sink)):
-            games, checks = run_campaign(
-                tmp_path / "m.jsonl",
-                quick=True,
-                jobs=1,
-                names=SUBSET,
-                chaos=ChaosConfig(corrupt_every=1, seed=3),
-            )
+        games, checks = run_campaign(
+            tmp_path / "m.jsonl",
+            quick=True,
+            jobs=1,
+            names=SUBSET,
+            chaos=ChaosConfig(corrupt_every=1, seed=3),
+        )
         assert _dump_bytes(tmp_path, "chaos", games, checks) == _serial_bytes(
             tmp_path
         )
-        retries = [e for e in sink.events if e.kind == "cell_retried"]
-        assert retries and all(r.reason == "corrupt-result" for r in retries)
+        reasons = _retry_reasons(tmp_path / "m.jsonl")
+        assert reasons and set(reasons) == {"corrupt-result"}
 
     def test_watchdog_reaps_stragglers(self, tmp_path):
-        sink = RingBufferSink()
-        with use_instrumentation(Instrumentation(sink=sink)):
-            games, checks = run_campaign(
-                tmp_path / "m.jsonl",
-                quick=True,
-                jobs=2,
-                names=SUBSET,
-                chaos=ChaosConfig(delay_every=1, delay_seconds=30.0, seed=2),
-                cell_timeout=0.75,
-            )
+        games, checks = run_campaign(
+            tmp_path / "m.jsonl",
+            quick=True,
+            jobs=2,
+            names=SUBSET,
+            chaos=ChaosConfig(delay_every=1, delay_seconds=30.0, seed=2),
+            cell_timeout=0.75,
+        )
         assert _dump_bytes(tmp_path, "slow", games, checks) == _serial_bytes(
             tmp_path
         )
-        retries = [e for e in sink.events if e.kind == "cell_retried"]
-        assert retries and all(r.reason == "timeout" for r in retries)
+        reasons = _retry_reasons(tmp_path / "m.jsonl")
+        assert reasons and set(reasons) == {"timeout"}
 
     def test_exhausted_game_cell_degrades_without_aborting(self, tmp_path):
         games, checks = run_campaign(
@@ -306,8 +313,8 @@ class TestChaosRecovery:
         assert "exhausted 2 attempt(s)" in errored[0].error
         assert "killed" in errored[0].error
         assert healthy  # the sibling cell ran to completion
-        status = campaign_status(tmp_path / "m.jsonl")
-        assert status["by_status"] == {"done": 1, "failed": 1}
+        manifest = load_manifest(tmp_path / "m.jsonl")
+        assert [manifest.cell(i).status for i in range(2)] == ["done", "failed"]
 
     def test_exhausted_check_cell_raises_after_journaling(self, tmp_path):
         with pytest.raises(CampaignError, match="example2"):
@@ -319,7 +326,7 @@ class TestChaosRecovery:
                 chaos=ChaosConfig(kill_every=1, attempts=99, seed=1),
                 max_attempts=2,
             )
-        assert campaign_status(tmp_path / "m.jsonl")["by_status"] == {"failed": 1}
+        assert load_manifest(tmp_path / "m.jsonl").cell(0).status == "failed"
 
     def test_failed_cells_rerun_on_resume(self, tmp_path):
         path = tmp_path / "m.jsonl"
@@ -460,47 +467,67 @@ class TestAtomicDump:
 
 class TestCampaignObservability:
     def test_events_round_trip_the_wire_format(self, tmp_path):
-        from repro.obs import JsonlSink, event_from_dict
+        """A chaos campaign's merged trace holds engine events and the
+        two framing records only, each line exactly its event's wire
+        form; the retry shows only as the committed attempt number."""
+        from repro.obs import ShardMergedEvent, event_from_dict
 
         trace = tmp_path / "trace.jsonl"
-        sink = JsonlSink(trace)
-        with use_instrumentation(Instrumentation(sink=sink)):
-            run_campaign(
-                tmp_path / "m.jsonl",
-                quick=True,
-                jobs=2,
-                names=SUBSET,
-                chaos=ChaosConfig(kill_every=2, seed=7),
-            )
-        sink.close()
-        events = [
-            event_from_dict(json.loads(line))
-            for line in trace.read_text().splitlines()
-        ]
-        kinds = {e.kind for e in events}
-        assert {"cell_started", "cell_finished", "worker_died", "cell_retried"} <= kinds
-        # Workers run silent: the trace holds campaign events only.
-        assert all(
-            k in {"cell_started", "cell_finished", "worker_died",
-                  "cell_retried", "campaign_resumed"}
-            for k in kinds
+        run_campaign(
+            tmp_path / "m.jsonl",
+            quick=True,
+            jobs=2,
+            names=SUBSET,
+            chaos=ChaosConfig(kill_every=2, seed=7),
+            trace_out=trace,
         )
+        lines = trace.read_text(encoding="utf-8").splitlines()
+        events = [event_from_dict(json.loads(line)) for line in lines]
+        assert [e.to_json() for e in events] == lines
+        assert {"run_start", "run_end", "shard_merged"} <= {e.kind for e in events}
+        assert events[-1].kind == "trace_footer"
+        attempts = {
+            e.cell: e.attempt for e in events if isinstance(e, ShardMergedEvent)
+        }
+        assert set(attempts) == set(SUBSET)
+        assert sorted(attempts.values()) == [1, 1, 2]
+        assert _retry_reasons(tmp_path / "m.jsonl") == ["killed"]
 
-    def test_replay_check_passes_on_chaos_traces(self, tmp_path):
-        from repro.obs import JsonlSink
-        from repro.obs.replay import replay_file
+    def test_replay_check_passes_on_chaos_traces(self, tmp_path, capsys):
+        from repro.obs.replay import main as replay_main
+        from repro.obs.replay import replay_file, verify_run
 
         trace = tmp_path / "trace.jsonl"
-        sink = JsonlSink(trace)
-        with use_instrumentation(Instrumentation(sink=sink)):
-            run_campaign(
-                tmp_path / "m.jsonl",
-                quick=True,
-                jobs=1,
-                names=SUBSET,
-                chaos=ChaosConfig(kill_every=2, seed=7),
-            )
-        sink.close()
-        # Campaign orchestration events are not engine runs: replay
-        # skips them and reconstructs zero runs without complaint.
-        assert replay_file(trace) == []
+        run_campaign(
+            tmp_path / "m.jsonl",
+            quick=True,
+            jobs=1,
+            names=SUBSET,
+            chaos=ChaosConfig(kill_every=2, seed=7),
+            trace_out=trace,
+        )
+        # The killed attempt's shard is never merged: every run in the
+        # trace reconstructs exactly.
+        runs = replay_file(trace)
+        assert runs and all(verify_run(run) == [] for run in runs)
+        assert replay_main([str(trace), "--check"]) == 0
+        assert "reconstruct exactly" in capsys.readouterr().out
+
+    def test_chaos_campaign_leaves_the_ambient_trace_empty(self, tmp_path):
+        """A campaign's supervision is journaled, not traced: the parent
+        emits no event into an ambient sink, and its workers never
+        reuse it (they record into their own shards, or nothing)."""
+        trace = tmp_path / "trace.jsonl"
+        with trace.open("w", encoding="utf-8") as stream:
+            sink = JsonlSink(stream=stream)
+            with use_instrumentation(Instrumentation(sink=sink)):
+                run_campaign(
+                    tmp_path / "m.jsonl",
+                    quick=True,
+                    jobs=2,
+                    names=SUBSET,
+                    chaos=ChaosConfig(kill_every=2, seed=7),
+                )
+            sink.close()
+        assert _retry_reasons(tmp_path / "m.jsonl") == ["killed"]
+        assert trace.read_text(encoding="utf-8") == ""

@@ -39,8 +39,7 @@ from repro.experiments.loadgen import (
     open_loop,
     zipf_sampler,
 )
-from repro.obs import MetricsRegistry, event_from_dict
-from repro.obs.events import CampaignEvent, ServiceRequestEvent, ServiceShedEvent
+from repro.obs import MetricsRegistry
 from repro.obs.report import service_summary
 from repro.service import (
     COALESCED,
@@ -324,25 +323,23 @@ class TestBackpressure:
 
     def test_shed_reports_outside_the_state_lock(self):
         # Regression (RL011 discipline): the tenant-queue-full shed —
-        # metrics updates plus a sink emit, i.e. other locks and
-        # possible I/O — used to run while `_state_lock` was held.
-        from repro.obs.sinks import TraceSink
-
+        # a metrics update, i.e. another lock — used to run while
+        # `_state_lock` was held.
         service_box = []
         lock_states = []
 
-        class ProbeSink(TraceSink):
-            def emit(self, event):
-                lock_states.append(
-                    service_box[0]._state_lock.locked()
-                )
+        class ProbeRegistry(MetricsRegistry):
+            def labeled_counter(self, name):
+                if name == "service_shed" and service_box:
+                    lock_states.append(service_box[0]._state_lock.locked())
+                return super().labeled_counter(name)
 
         store = build_store(SMALL_STORE)
         service = SearchService(
             store,
             [TenantConfig("alpha", max_pending=1)],
             ServiceConfig(workers=1, queue_bound=1),
-            sink=ProbeSink(),
+            metrics=ProbeRegistry(),
         )
         service_box.append(service)
         # Force the tenant to its pending bound without needing a
@@ -511,32 +508,3 @@ class TestLoadgen:
         store = build_store(SMALL_STORE)
         with pytest.raises(ServiceError):
             run_request(store, RequestSpec(name="x", tenant="t", workload="no"))
-
-
-# -- service events on the wire ----------------------------------------
-
-
-class TestServiceEvents:
-    def test_request_event_round_trips(self):
-        event = ServiceRequestEvent(
-            run=-1,
-            tenant="alpha",
-            request="c0r0",
-            workload="walk",
-            outcome="ok",
-            steps=128,
-            faults=9,
-            hits=7,
-            misses=2,
-            coalesced=0,
-            latency=155.0,
-        )
-        assert isinstance(event, CampaignEvent)  # replay skips it
-        assert event_from_dict(json.loads(json.dumps(event.to_dict()))) == event
-
-    def test_shed_event_round_trips(self):
-        event = ServiceShedEvent(
-            run=-1, tenant="beta", request="c1r3", reason="queue-full"
-        )
-        assert isinstance(event, CampaignEvent)
-        assert event_from_dict(json.loads(json.dumps(event.to_dict()))) == event

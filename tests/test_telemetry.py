@@ -761,6 +761,10 @@ class TestOpsReport:
              r"index -1 names no cell of the header \(it lists 2\)"),
             ('{"record": "cell", "index": true, "status": "done"}',
              "index true is not an integer"),
+            ('{"record": "cell", "index": 0, "status": "done", "attempt": "x"}',
+             'attempt "x" is not an integer'),
+            ('{"record": "cell", "index": 0, "status": "done", "attempt": true}',
+             "attempt true is not an integer"),
         ):
             broken.write_text("\n".join([lines[0], record, *lines[1:]]) + "\n")
             with pytest.raises(
@@ -775,6 +779,23 @@ class TestOpsReport:
         assert report_cells(load_report(manifest=torn)) == report_cells(
             load_report(manifest=manifest)
         )
+
+    def test_header_cells_are_keyed_by_position(self, tmp_path):
+        """The report keys header cells by position, as ``load_manifest``
+        does, and never reads a header cell's ``index``: a wrong one
+        changes nothing."""
+        from repro.obs.report import load_report, main
+
+        manifest = self._manifest(tmp_path)
+        expected = report_cells(load_report(manifest=manifest))
+        assert [cell["index"] for cell in expected] == [0, 1]
+        records = [json.loads(line) for line in manifest.read_text().splitlines()]
+        for index in ("x", True, 7):
+            records[0]["cells"][0]["index"] = index
+            skewed = tmp_path / "skewed.jsonl"
+            skewed.write_text("".join(json.dumps(r) + "\n" for r in records))
+            assert report_cells(load_report(manifest=skewed)) == expected
+            assert main([str(skewed), "--out", str(tmp_path / "r.md")]) == 0
 
     def test_cli_writes_report_on_real_campaign(self, tmp_path):
         """End to end on real artifacts: chaos campaign -> manifest +
