@@ -80,9 +80,15 @@ def generate_requests(
     """The burst's request streams, one list per client, all derived
     deterministically from ``spec.seed``."""
     if spec.clients < 1:
-        raise ReproError(f"need >= 1 client, got {spec.clients}")
+        raise ServiceError(f"need >= 1 client, got {spec.clients}")
     if not spec.tenants:
-        raise ReproError("need at least one tenant")
+        raise ServiceError("need at least one tenant")
+    if spec.requests_per_client < 0:
+        raise ServiceError(
+            f"need >= 0 requests per client, got {spec.requests_per_client}"
+        )
+    if spec.num_steps < 0:
+        raise ServiceError(f"need >= 0 steps per request, got {spec.num_steps}")
     ranks = min(spec.zipf_ranks, len(store.vertices))
     streams: list[list[RequestSpec]] = []
     for client in range(spec.clients):

@@ -36,29 +36,33 @@ anywhere in the first ten lines of a file. Suppressions are for
 
 from __future__ import annotations
 
-from repro.lint.baseline import Baseline
-from repro.lint.config import LintConfig, load_config
-from repro.lint.engine import LintEngine, LintReport
-from repro.lint.findings import Finding, Severity
-from repro.lint.rules import (
-    FileContext,
-    ProjectContext,
-    Rule,
-    all_rules,
-    get_rule,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Baseline",
-    "FileContext",
-    "ProjectContext",
-    "Finding",
-    "LintConfig",
-    "LintEngine",
-    "LintReport",
-    "Rule",
-    "Severity",
-    "all_rules",
-    "get_rule",
-    "load_config",
-]
+from repro import _facade
+
+#: The public names, by defining module; each is imported on its first
+#: lookup (:func:`repro._facade`).
+_EXPORTS: dict[str, tuple[str, ...]] = {
+    "repro.lint.baseline": ("Baseline",),
+    "repro.lint.config": ("LintConfig", "load_config"),
+    "repro.lint.engine": ("LintEngine", "LintReport"),
+    "repro.lint.findings": ("Finding", "Severity"),
+    "repro.lint.rules": (
+        "FileContext", "ProjectContext", "Rule", "all_rules", "get_rule",
+    ),
+}
+
+if TYPE_CHECKING:
+    from repro.lint.baseline import Baseline as Baseline
+    from repro.lint.config import LintConfig as LintConfig, load_config as load_config
+    from repro.lint.engine import LintEngine as LintEngine, LintReport as LintReport
+    from repro.lint.findings import Finding as Finding, Severity as Severity
+    from repro.lint.rules import (
+        FileContext as FileContext,
+        ProjectContext as ProjectContext,
+        Rule as Rule,
+        all_rules as all_rules,
+        get_rule as get_rule,
+    )
+else:
+    __getattr__, __dir__, __all__ = _facade(globals(), _EXPORTS)

@@ -34,96 +34,92 @@ Quickstart::
     print(metrics.to_json())
 """
 
-from repro.obs.context import current_instrumentation, use_instrumentation
-from repro.obs.events import (
-    EVENT_TYPES,
-    BlockReadEvent,
-    CampaignEvent,
-    EvictionEvent,
-    FallbackEvent,
-    FaultEvent,
-    RetryEvent,
-    RunEndEvent,
-    RunStartEvent,
-    ShardMergedEvent,
-    StepEvent,
-    TraceEvent,
-    TraceFooterEvent,
-    event_from_dict,
-)
-from repro.obs.instrument import Instrumentation, InstrumentationHook
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    LabeledCounter,
-    MetricsRegistry,
-)
-from repro.obs.profiling import (
-    PhaseProfiler,
-    SweepProgress,
-    bench_rollup,
-    write_bench_json,
-)
-from repro.obs.sinks import (
-    CompositeSink,
-    JsonlSink,
-    NullSink,
-    RingBufferSink,
-    TraceSink,
-    read_jsonl,
-)
-from repro.obs.spans import (
-    MergeReport,
-    ShardRecorder,
-    ShardRef,
-    merge_shard_metrics,
-    merge_shards,
-    read_shard,
-    shard_paths,
-    span_id,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "EVENT_TYPES",
-    "BlockReadEvent",
-    "CampaignEvent",
-    "CompositeSink",
-    "Counter",
-    "EvictionEvent",
-    "FallbackEvent",
-    "FaultEvent",
-    "Gauge",
-    "Histogram",
-    "Instrumentation",
-    "InstrumentationHook",
-    "JsonlSink",
-    "LabeledCounter",
-    "MergeReport",
-    "MetricsRegistry",
-    "NullSink",
-    "PhaseProfiler",
-    "RetryEvent",
-    "RingBufferSink",
-    "RunEndEvent",
-    "RunStartEvent",
-    "ShardMergedEvent",
-    "ShardRecorder",
-    "ShardRef",
-    "StepEvent",
-    "SweepProgress",
-    "TraceEvent",
-    "TraceFooterEvent",
-    "TraceSink",
-    "bench_rollup",
-    "current_instrumentation",
-    "event_from_dict",
-    "merge_shard_metrics",
-    "merge_shards",
-    "read_jsonl",
-    "read_shard",
-    "shard_paths",
-    "span_id",
-    "use_instrumentation",
-    "write_bench_json",
-]
+from repro import _facade
+
+#: The public names, by defining module; each is imported on its first
+#: lookup (:func:`repro._facade`).
+_EXPORTS: dict[str, tuple[str, ...]] = {
+    "repro.obs.context": ("current_instrumentation", "use_instrumentation"),
+    "repro.obs.events": (
+        "EVENT_TYPES", "BlockReadEvent", "CampaignEvent", "EvictionEvent",
+        "FallbackEvent", "FaultEvent", "RetryEvent", "RunEndEvent", "RunStartEvent",
+        "ShardMergedEvent", "StepEvent", "TraceEvent", "TraceFooterEvent",
+        "event_from_dict",
+    ),
+    "repro.obs.instrument": ("Instrumentation", "InstrumentationHook"),
+    "repro.obs.metrics": (
+        "Counter", "Gauge", "Histogram", "LabeledCounter", "MetricsRegistry",
+    ),
+    "repro.obs.profiling": (
+        "PhaseProfiler", "SweepProgress", "bench_rollup", "write_bench_json",
+    ),
+    "repro.obs.sinks": (
+        "CompositeSink", "JsonlSink", "NullSink", "RingBufferSink", "TraceSink",
+        "read_jsonl",
+    ),
+    "repro.obs.spans": (
+        "MergeReport", "ShardRecorder", "ShardRef", "merge_shard_metrics",
+        "merge_shards", "read_shard", "shard_paths", "span_id",
+    ),
+}
+
+if TYPE_CHECKING:
+    from repro.obs.context import (
+        current_instrumentation as current_instrumentation,
+        use_instrumentation as use_instrumentation,
+    )
+    from repro.obs.events import (
+        EVENT_TYPES as EVENT_TYPES,
+        BlockReadEvent as BlockReadEvent,
+        CampaignEvent as CampaignEvent,
+        EvictionEvent as EvictionEvent,
+        FallbackEvent as FallbackEvent,
+        FaultEvent as FaultEvent,
+        RetryEvent as RetryEvent,
+        RunEndEvent as RunEndEvent,
+        RunStartEvent as RunStartEvent,
+        ShardMergedEvent as ShardMergedEvent,
+        StepEvent as StepEvent,
+        TraceEvent as TraceEvent,
+        TraceFooterEvent as TraceFooterEvent,
+        event_from_dict as event_from_dict,
+    )
+    from repro.obs.instrument import (
+        Instrumentation as Instrumentation,
+        InstrumentationHook as InstrumentationHook,
+    )
+    from repro.obs.metrics import (
+        Counter as Counter,
+        Gauge as Gauge,
+        Histogram as Histogram,
+        LabeledCounter as LabeledCounter,
+        MetricsRegistry as MetricsRegistry,
+    )
+    from repro.obs.profiling import (
+        PhaseProfiler as PhaseProfiler,
+        SweepProgress as SweepProgress,
+        bench_rollup as bench_rollup,
+        write_bench_json as write_bench_json,
+    )
+    from repro.obs.sinks import (
+        CompositeSink as CompositeSink,
+        JsonlSink as JsonlSink,
+        NullSink as NullSink,
+        RingBufferSink as RingBufferSink,
+        TraceSink as TraceSink,
+        read_jsonl as read_jsonl,
+    )
+    from repro.obs.spans import (
+        MergeReport as MergeReport,
+        ShardRecorder as ShardRecorder,
+        ShardRef as ShardRef,
+        merge_shard_metrics as merge_shard_metrics,
+        merge_shards as merge_shards,
+        read_shard as read_shard,
+        shard_paths as shard_paths,
+        span_id as span_id,
+    )
+else:
+    __getattr__, __dir__, __all__ = _facade(globals(), _EXPORTS)

@@ -38,8 +38,10 @@ T = TypeVar("T")
 #: The one wire decoder, bound once: a stripped line skips the type,
 #: BOM and whitespace checks ``json.loads`` makes around each call.
 _RAW_DECODE = json.JSONDecoder().raw_decode
-#: JSON's whitespace, which ``json.loads`` skips before "Extra data".
-_SKIP_WHITESPACE = re.compile(r"[ \t\n\r]*").match
+#: JSON's whitespace, the only characters ``json.loads`` allows around a
+#: value (``str.strip()`` would also drop ``\xa0`` or ``\u2028``).
+_JSON_WHITESPACE = " \t\n\r"
+_SKIP_WHITESPACE = re.compile(f"[{_JSON_WHITESPACE}]*").match
 
 
 class TraceSink(abc.ABC):
@@ -195,7 +197,7 @@ def read_records(
     with Path(path).open("rb") as stream:
         for number, line in enumerate(stream, 1):
             try:
-                text = line.decode("utf-8").strip()
+                text = line.decode("utf-8").strip(_JSON_WHITESPACE)
                 if not text:
                     continue
                 payload, end = _RAW_DECODE(text)

@@ -12,33 +12,41 @@ Everything is opt-in: a :class:`Searcher` without a
 :class:`ReliabilityConfig` runs the seed's exact fast path.
 """
 
-from repro.reliability.faults import (
-    FailOnNthRead,
-    FaultInjector,
-    FaultOutcome,
-    LostBlocks,
-    NeverFail,
-    ProbabilisticFaults,
-)
-from repro.reliability.retry import (
-    ExponentialBackoff,
-    FixedRetry,
-    NoRetry,
-    RetryPolicy,
-)
-from repro.reliability.store import ReliabilityConfig, ResilientBlockStore
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "ExponentialBackoff",
-    "FailOnNthRead",
-    "FaultInjector",
-    "FaultOutcome",
-    "FixedRetry",
-    "LostBlocks",
-    "NeverFail",
-    "NoRetry",
-    "ProbabilisticFaults",
-    "ReliabilityConfig",
-    "ResilientBlockStore",
-    "RetryPolicy",
-]
+from repro import _facade
+
+#: The public names, by defining module; each is imported on its first
+#: lookup (:func:`repro._facade`).
+_EXPORTS: dict[str, tuple[str, ...]] = {
+    "repro.reliability.faults": (
+        "FailOnNthRead", "FaultInjector", "FaultOutcome", "LostBlocks", "NeverFail",
+        "ProbabilisticFaults",
+    ),
+    "repro.reliability.retry": (
+        "ExponentialBackoff", "FixedRetry", "NoRetry", "RetryPolicy",
+    ),
+    "repro.reliability.store": ("ReliabilityConfig", "ResilientBlockStore"),
+}
+
+if TYPE_CHECKING:
+    from repro.reliability.faults import (
+        FailOnNthRead as FailOnNthRead,
+        FaultInjector as FaultInjector,
+        FaultOutcome as FaultOutcome,
+        LostBlocks as LostBlocks,
+        NeverFail as NeverFail,
+        ProbabilisticFaults as ProbabilisticFaults,
+    )
+    from repro.reliability.retry import (
+        ExponentialBackoff as ExponentialBackoff,
+        FixedRetry as FixedRetry,
+        NoRetry as NoRetry,
+        RetryPolicy as RetryPolicy,
+    )
+    from repro.reliability.store import (
+        ReliabilityConfig as ReliabilityConfig,
+        ResilientBlockStore as ResilientBlockStore,
+    )
+else:
+    __getattr__, __dir__, __all__ = _facade(globals(), _EXPORTS)

@@ -20,44 +20,50 @@ Run a seeded load burst from the command line::
     python -m repro.service --store path --clients 4 --requests 8
 """
 
-from repro.service.cache import (
-    COALESCED,
-    HIT,
-    MISS,
-    CachedBlocking,
-    CacheStats,
-    SharedBlockCache,
-)
-from repro.service.requests import WORKLOADS, RequestSpec, run_request
-from repro.service.server import (
-    RequestOutcome,
-    SearchService,
-    ServiceConfig,
-    TenantConfig,
-)
-from repro.service.stores import (
-    STORE_FAMILIES,
-    ServiceStore,
-    StoreSpec,
-    build_store,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "COALESCED",
-    "HIT",
-    "MISS",
-    "CachedBlocking",
-    "CacheStats",
-    "RequestOutcome",
-    "RequestSpec",
-    "STORE_FAMILIES",
-    "SearchService",
-    "ServiceConfig",
-    "ServiceStore",
-    "SharedBlockCache",
-    "StoreSpec",
-    "TenantConfig",
-    "WORKLOADS",
-    "build_store",
-    "run_request",
-]
+from repro import _facade
+
+#: The public names, by defining module; each is imported on its first
+#: lookup (:func:`repro._facade`).
+_EXPORTS: dict[str, tuple[str, ...]] = {
+    "repro.service.cache": (
+        "COALESCED", "HIT", "MISS", "CachedBlocking", "CacheStats", "SharedBlockCache",
+    ),
+    "repro.service.requests": ("WORKLOADS", "RequestSpec", "run_request"),
+    "repro.service.server": (
+        "RequestOutcome", "SearchService", "ServiceConfig", "TenantConfig",
+    ),
+    "repro.service.stores": (
+        "STORE_FAMILIES", "ServiceStore", "StoreSpec", "build_store",
+    ),
+}
+
+if TYPE_CHECKING:
+    from repro.service.cache import (
+        COALESCED as COALESCED,
+        HIT as HIT,
+        MISS as MISS,
+        CachedBlocking as CachedBlocking,
+        CacheStats as CacheStats,
+        SharedBlockCache as SharedBlockCache,
+    )
+    from repro.service.requests import (
+        WORKLOADS as WORKLOADS,
+        RequestSpec as RequestSpec,
+        run_request as run_request,
+    )
+    from repro.service.server import (
+        RequestOutcome as RequestOutcome,
+        SearchService as SearchService,
+        ServiceConfig as ServiceConfig,
+        TenantConfig as TenantConfig,
+    )
+    from repro.service.stores import (
+        STORE_FAMILIES as STORE_FAMILIES,
+        ServiceStore as ServiceStore,
+        StoreSpec as StoreSpec,
+        build_store as build_store,
+    )
+else:
+    __getattr__, __dir__, __all__ = _facade(globals(), _EXPORTS)

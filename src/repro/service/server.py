@@ -107,6 +107,12 @@ class SearchService:
         self.config = config if config is not None else ServiceConfig()
         if self.config.workers < 1:
             raise ServiceError(f"need >= 1 worker, got {self.config.workers}")
+        # queue.Queue reads a bound below 1 as "unbounded", which would
+        # leave the global shed unreachable.
+        if self.config.queue_bound < 1:
+            raise ServiceError(
+                f"need a queue bound >= 1, got {self.config.queue_bound}"
+            )
         if not tenants:
             raise ServiceError("need at least one tenant")
         block_size = store.params.block_size

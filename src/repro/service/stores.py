@@ -137,6 +137,8 @@ def build_store(spec: StoreSpec) -> ServiceStore:
             f"unknown store family {spec.family!r}; "
             f"known: {sorted(STORE_FAMILIES)}"
         )
+    # ModelParams rejects a block size below 1 before a builder divides by it.
+    _params(spec)
     with _memo_lock:
         store = _memo.get(spec)
         if store is None:

@@ -151,6 +151,11 @@ class TestManifest:
         path.write_text("\n".join([lines[0], lines[1][:20]]) + "\n")
         with pytest.raises(ManifestError, match=r"m\.jsonl:2: undecodable JSON"):
             load_manifest(path)
+        # Only JSON's whitespace may surround a record: a trailing
+        # ``\xa0`` is extra data, as ``json.loads`` says.
+        path.write_text(f"{lines[0]}\xa0\n{lines[1]}\n", encoding="utf-8")
+        with pytest.raises(ManifestError, match=r"m\.jsonl:1: undecodable JSON \(Extra"):
+            load_manifest(path)
         # A cell record without a key the fold reads, or whose index is
         # not an int naming a header cell, is corruption too.
         for record, message in (

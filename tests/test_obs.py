@@ -902,6 +902,13 @@ class TestUndecodableTraces:
         elif case == "array-line":
             bad = 4
             lines[bad - 1] = "[1, 2]"
+        elif case == "nbsp-after-record":
+            # ``\xa0`` is whitespace to ``str.strip`` but not to JSON.
+            bad = 3
+            lines[bad - 1] += "\xa0"
+        elif case == "nbsp-only-line":
+            bad = 3
+            lines.insert(bad - 1, "\xa0")
         elif case == "non-utf8-last-line":
             bad = len(lines)
             # A raw 0xff byte, which no UTF-8 text contains.
@@ -916,7 +923,7 @@ class TestUndecodableTraces:
     CASES = (
         "torn-last-line", "garbage-middle-line", "unknown-kind",
         "two-objects-one-line", "array-line", "torn-append",
-        "non-utf8-last-line",
+        "non-utf8-last-line", "nbsp-after-record", "nbsp-only-line",
     )
 
     @pytest.mark.parametrize("case", CASES)
@@ -945,6 +952,8 @@ class TestUndecodableTraces:
         "array-line": r"not a JSON object: \[1, 2\]",
         "torn-append": r"torn final line \(.+ at column \d+\)",
         "non-utf8-last-line": r"undecodable UTF-8 \(invalid start byte at byte 21\)",
+        "nbsp-after-record": r"undecodable JSON \(Extra data at column \d+\)",
+        "nbsp-only-line": r"undecodable JSON \(Expecting value at column 1\)",
     }
 
     @pytest.mark.parametrize("case", sorted(MESSAGES))

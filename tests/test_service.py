@@ -17,14 +17,20 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.block import Block
 from repro.core.blocking import Blocking
 from repro.errors import (
+    ModelError,
     ServiceClosedError,
     ServiceError,
     ServiceOverloadError,
@@ -508,3 +514,48 @@ class TestLoadgen:
         store = build_store(SMALL_STORE)
         with pytest.raises(ServiceError):
             run_request(store, RequestSpec(name="x", tenant="t", workload="no"))
+
+
+class TestBadConfiguration:
+    """A configuration value the service cannot honour is a typed error,
+    and ``python -m repro.service`` prints it as one ``error:`` line and
+    exits 2."""
+
+    @pytest.mark.parametrize("bound", [0, -3])
+    def test_queue_bound_below_one(self, bound):
+        # queue.Queue would read the bound as "unbounded", and the
+        # global shed could never fire.
+        with pytest.raises(ServiceError, match=rf"queue bound >= 1, got {bound}$"):
+            SearchService(
+                build_store(SMALL_STORE), [TenantConfig("alpha")],
+                ServiceConfig(queue_bound=bound),
+            )
+
+    def test_zero_block_size(self):
+        with pytest.raises(ModelError, match=r"block size B must be >= 1, got 0$"):
+            build_store(dataclasses.replace(SMALL_STORE, block_size=0))
+
+    @pytest.mark.parametrize("field, message", [
+        ("num_steps", r">= 0 steps per request, got -5$"),
+        ("requests_per_client", r">= 0 requests per client, got -5$"),
+    ])
+    def test_negative_load(self, field, message):
+        spec = dataclasses.replace(LoadSpec(), **{field: -5})
+        with pytest.raises(ServiceError, match=message):
+            generate_requests(spec, build_store(SMALL_STORE))
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--queue-bound", "0"], "need a queue bound >= 1, got 0"),
+        (["--queue-bound", "-3"], "need a queue bound >= 1, got -3"),
+        (["--block-size", "0"], "block size B must be >= 1, got 0"),
+        (["--steps", "-5"], "need >= 0 steps per request, got -5"),
+        (["--requests", "-1"], "need >= 0 requests per client, got -1"),
+    ])
+    def test_cli_exits_2_with_one_line(self, argv, message):
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.service", *argv],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])},
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == f"error: {message}\n"

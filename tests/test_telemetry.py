@@ -858,3 +858,57 @@ class TestLayering:
             check=True,
             cwd=str(Path(__file__).resolve().parents[1] / "src"),
         )
+
+    @staticmethod
+    def loaded_after(code):
+        """The ``repro`` modules a fresh interpreter holds after ``code``,
+        as (packages, other modules)."""
+        done = subprocess.run(
+            [sys.executable, "-c", code + (
+                "\nimport sys\n"
+                "for name, module in sorted(sys.modules.items()):\n"
+                "    if name == 'repro' or name.startswith('repro.'):\n"
+                "        print(name, hasattr(module, '__path__'))\n"
+            )],
+            check=True, capture_output=True, text=True,
+            cwd=str(Path(__file__).resolve().parents[1] / "src"),
+        )
+        rows = [line.split() for line in done.stdout.splitlines()]
+        return (
+            {name for name, package in rows if package == "True"},
+            {name for name, package in rows if package == "False"},
+        )
+
+    def test_import_repro_loads_nothing_below_it(self):
+        """The facades resolve their names on first use, so importing
+        the package executes no module under it."""
+        assert self.loaded_after("import repro") == ({"repro"}, set())
+
+    #: The names the ``walk`` benchmark workload imports.
+    WALK_IMPORTS = (
+        "from repro import FirstBlockPolicy, ModelParams, Searcher\n"
+        "from repro.blockings import (\n"
+        "    FarthestFaultPolicy, offset_grid_blocking, uniform_grid_blocking)\n"
+        "from repro.graphs import InfiniteGridGraph\n"
+        "from repro.adversaries import RandomWalkAdversary\n"
+    )
+
+    def test_the_walk_imports_load_only_the_engine_leaves(self):
+        """The engine's names load the engine, the blockings and the
+        adversary they come from, and from every other package only the
+        leaves those import: no experiment, service, lint or reliability
+        code."""
+        packages, modules = self.loaded_after(self.WALK_IMPORTS)
+        layers = {name.split(".")[1] for name in packages | modules if "." in name}
+        assert not layers & {"experiments", "service", "lint", "reliability"}
+        named = ("repro.core.", "repro.blockings.", "repro.adversaries.")
+        assert {name for name in modules if not name.startswith(named)} == {
+            "repro.errors",
+            "repro.typing",
+            "repro.analysis.tessellation",
+            "repro.analysis.theory",
+            "repro.graphs.base",
+            "repro.graphs.grid",
+            "repro.obs.context",
+            "repro.paging.eviction",
+        }
