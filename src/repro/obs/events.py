@@ -25,7 +25,10 @@ dataclass fields, drives both directions. Vertices and block ids are
 arbitrary hashables in memory; on the wire, tuples become JSON arrays
 and the plan's identifier fields are converted back on load
 (:func:`retuple`), so a JSONL trace round-trips exactly for the
-int/str/tuple identifiers every substrate in this repository uses.
+int/str/tuple identifiers every substrate in this repository uses. A
+wire object that no event could have written (a JSON object inside an
+identifier, a ``blocks`` or ``block_ids`` that is neither null nor an
+array, a ``trace`` that is not an object) is refused on load.
 """
 
 from __future__ import annotations
@@ -87,32 +90,53 @@ def jsonable(value: Any) -> Any:
 
 
 def retuple(value: Any) -> Any:
-    """Undo :func:`jsonable` for identifiers: JSON arrays back to
-    tuples, recursively. Dicts keep their keys (they were stringified
-    on the way out and stay strings). JSON decodes to exact ``list``
-    and ``dict``, so the tests are on the exact type."""
+    """Undo :func:`jsonable` for an identifier: JSON arrays back to
+    tuples, recursively; scalars pass through. JSON decodes to exact
+    ``list`` and ``dict``, so the tests are on the exact type. A JSON
+    object is no identifier: it raises ``ValueError``."""
     cls = type(value)
     if cls is list:
-        return tuple([retuple(v) for v in value])
+        items: list[Any] = []
+        for item in value:  # a loop, not a comprehension: no frame per array
+            kind = type(item)
+            if kind is list or kind is dict:
+                item = retuple(item)
+            items.append(item)
+        return tuple(items)
     if cls is dict:
-        return {k: retuple(v) for k, v in value.items()}
+        raise ValueError(f"holds a JSON object: {_ENCODER.encode(value)}")
     return value
 
 
 def _retuple_ids(value: Any) -> Any:
-    """:func:`retuple` for a field holding a tuple of identifiers."""
-    value = retuple(value)
-    return None if value is None else tuple(value)
+    """:func:`retuple` for a field holding null or an array of
+    identifiers."""
+    if value is None:
+        return None
+    if type(value) is not list:
+        raise ValueError(f"is neither null nor an array: {_ENCODER.encode(value)}")
+    return retuple(value)
 
 
-#: How each identifier field (vertices, block ids) is rebuilt on load.
-_IDENTIFIERS: dict[str, Callable[[Any], Any]] = {
+def _mapping(value: Any) -> Any:
+    """A field holding a JSON object, taken as decoded."""
+    if type(value) is not dict:
+        raise ValueError(f"is not a JSON object: {_ENCODER.encode(value)}")
+    return value
+
+
+#: How each identifier or mapping field is checked and rebuilt on load.
+_CONVERTERS: dict[str, Callable[[Any], Any]] = {
     "vertex": retuple,
     "block_id": retuple,
     "failed_block": retuple,
     "block_ids": _retuple_ids,
     "blocks": _retuple_ids,
+    "trace": _mapping,
 }
+
+#: The default of a field that has none: its absence is an error.
+_REQUIRED: Any = object()
 
 
 class WirePlan:
@@ -125,7 +149,8 @@ class WirePlan:
     differs from JSON's own for bool, None, and tuple keys. Each line is
     therefore exactly the ``jsonable`` rendering of the event. Decoding
     walks the same fields: identifier fields are retupled, absent
-    defaulted fields take their default, and extra keys are ignored.
+    defaulted fields take their default, extra keys are ignored, and a
+    value no event could hold is refused.
     """
 
     __slots__ = ("cls", "kind", "names", "specs")
@@ -134,9 +159,13 @@ class WirePlan:
         self.cls = cls
         self.kind = cls.kind
         self.names = tuple(f.name for f in fields(cls))  # declaration order
-        #: ``(name, identifier converter or None, has a default)``.
+        #: ``(name, converter or None, default or _REQUIRED)``.
         self.specs = tuple(
-            (f.name, _IDENTIFIERS.get(f.name), f.default is not MISSING)
+            (
+                f.name,
+                _CONVERTERS.get(f.name),
+                _REQUIRED if f.default is MISSING else f.default,
+            )
             for f in fields(cls)
         )
 
@@ -149,18 +178,29 @@ class WirePlan:
         return _encode(payload)
 
     def decode(self, payload: Mapping[str, Any]) -> TraceEvent:
-        """Rebuild an event of this class from its decoded wire object."""
-        kwargs: dict[str, Any] = {}
-        for name, convert, has_default in self.specs:
-            if name not in payload:
-                if has_default:
-                    continue  # older wire form: take the dataclass default
-                raise ReproError(
-                    f"{self.kind} event missing field {name!r}: {payload}"
-                )
-            value = payload[name]
-            kwargs[name] = value if convert is None else convert(value)
-        return self.cls(**kwargs)
+        """Rebuild an event of this class from its decoded wire object.
+
+        The event is built as :mod:`copy` and :mod:`pickle` rebuild a
+        dataclass: ``cls.__new__(cls)`` (``object.__new__``), then its
+        ``__dict__`` filled in field order. That skips ``__init__``,
+        which is sound because no event class defines its own
+        ``__init__`` or ``__post_init__``.
+        """
+        cls = self.cls
+        event = cls.__new__(cls)
+        fill = event.__dict__
+        get = payload.get
+        try:
+            for name, convert, default in self.specs:
+                value = get(name, default)
+                if value is _REQUIRED:
+                    raise ReproError(
+                        f"{self.kind} event missing field {name!r}: {payload}"
+                    )
+                fill[name] = value if convert is None else convert(value)
+        except ValueError as exc:  # a converter refused the value
+            raise ReproError(f"{self.kind} event field {name!r} {exc}") from None
+        return event
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,7 @@ from repro.obs.events import (
     TraceEvent,
     jsonable,
 )
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, nearest_rank
 from repro.obs.replay import fold_runs
 from repro.obs.sinks import read_jsonl
 
@@ -168,6 +168,9 @@ def scan_trace(path: str | Path) -> list[RunRecord]:
 
 # -- stack-distance analysis --------------------------------------------
 
+#: The top of an empty recency stack: equal to no block id.
+_NO_BLOCK: Any = object()
+
 
 class _Fenwick:
     """Binary indexed tree over reference positions, holding block
@@ -233,6 +236,12 @@ def stack_distances(rec: RunRecord) -> StackResult | None:
     cumulative copies of the stack top, so multi-holder arrivals take
     the minimum distance over their refs — exact at the run's actual m,
     a projection elsewhere (s=1 runs are exact at every m).
+
+    An arrival whose one reference is the block on top of the stack
+    (the last sized block moved there) is at distance that block's
+    size, since every other block's latest position lies below the
+    top's, and it leaves the stack as it was: it is counted without
+    touching the tree.
     """
     if not rec.touch_tracked or rec.model != "weak":
         return None
@@ -245,21 +254,25 @@ def stack_distances(rec: RunRecord) -> StackResult | None:
     distances: dict[int, int] = {}
     exact = True
     note: str | None = None
+    sizes = rec.block_sizes
+    top: Any = _NO_BLOCK
+    top_size = 0
     for arrival in rec.arrivals:
+        refs = arrival.refs
+        if len(refs) == 1 and refs[0] == top:
+            distances[top_size] = distances.get(top_size, 0) + 1
+            pos += 1
+            continue
         best: int | None = None
         unseen = 0
-        for block_id in arrival.refs:
+        for block_id in refs:
+            # Only sized blocks enter the stack, so a holder never seen
+            # loaded (a torn trace) counts as unseen.
             at = last_pos.get(block_id)
             if at is None:
                 unseen += 1
                 continue
-            size = rec.block_sizes.get(block_id)
-            if size is None:
-                # A resident holder we never saw loaded: torn trace.
-                exact = False
-                note = f"holder {block_id!r} has no recorded size"
-                continue
-            d = total_size - fenwick.prefix(at) + size
+            d = total_size - fenwick.prefix(at) + sizes[block_id]
             if best is None or d < best:
                 best = d
         if best is None:
@@ -269,8 +282,8 @@ def stack_distances(rec: RunRecord) -> StackResult | None:
                 note = "covered arrival references an unseen block"
         else:
             distances[best] = distances.get(best, 0) + 1
-        for block_id in arrival.refs:
-            size = rec.block_sizes.get(block_id)
+        for block_id in refs:
+            size = sizes.get(block_id)
             if size is None:
                 continue
             at = last_pos.get(block_id)
@@ -280,6 +293,7 @@ def stack_distances(rec: RunRecord) -> StackResult | None:
                 fenwick.add(at, -size)
             fenwick.add(pos, size)
             last_pos[block_id] = pos
+            top, top_size = block_id, size
             pos += 1
     return StackResult(
         references=pos,
@@ -298,6 +312,8 @@ def taxonomy(rec: RunRecord) -> dict[str, Any]:
     policy-induced, by replaying the reference string under Belady MIN
     at the same m.
 
+    Compulsory faults are the distinct block ids read, told apart by
+    Python equality, as the stack pass and the ledger key their blocks.
     MIN pages the arrival-level block reference string directly
     (:func:`repro.paging.belady.belady_blocks`), one step per
     reference, with each block's recorded size. MIN is defined only
@@ -306,7 +322,7 @@ def taxonomy(rec: RunRecord) -> dict[str, Any]:
     is free) or a holder never seen loaded makes the taxonomy report
     "MIN unavailable" instead of raising.
     """
-    compulsory = len(set(map(_block_key, rec.read_sequence)))
+    compulsory = len(set(rec.read_sequence))
     out: dict[str, Any] = {
         "compulsory": compulsory,
         "capacity": None,
@@ -390,7 +406,10 @@ def block_ledger(rec: RunRecord) -> list[dict[str, Any]]:
     References are arrival-indexed: touch-tracked runs count every
     holder refresh, others only the block reads. ``reloads`` counts
     load→evict→reload cycles (every re-read implies an intervening
-    eviction under demand paging).
+    eviction under demand paging). A block's gap percentiles are
+    ranked in one sorted list of its gaps by
+    :func:`~repro.obs.metrics.nearest_rank`, the rule of
+    :meth:`~repro.obs.metrics.Histogram.percentile`.
     """
     positions: dict[Any, list[int]] = {}
     if rec.touch_tracked and rec.model == "weak":
@@ -406,10 +425,11 @@ def block_ledger(rec: RunRecord) -> list[dict[str, Any]]:
     rows: list[dict[str, Any]] = []
     for block_id in sorted(positions, key=_block_key):
         refs = positions[block_id]
-        gaps = Histogram()
-        for earlier, later in zip(refs, refs[1:]):
-            gaps.observe(later - earlier)
-        quantiles = gaps.percentiles()
+        gaps = sorted([later - earlier for earlier, later in zip(refs, refs[1:])])
+        p50, p90, p99 = [
+            gaps[nearest_rank(q, len(gaps)) - 1] if gaps else None
+            for q in (50, 90, 99)
+        ]
         read_count = reads.get(block_id, 0)
         rows.append(
             {
@@ -420,9 +440,9 @@ def block_ledger(rec: RunRecord) -> list[dict[str, Any]]:
                 "reads": read_count,
                 "reloads": max(0, read_count - 1),
                 "evictions": rec.eviction_counts.get(block_id, 0),
-                "gap_p50": quantiles["p50"],
-                "gap_p90": quantiles["p90"],
-                "gap_p99": quantiles["p99"],
+                "gap_p50": p50,
+                "gap_p90": p90,
+                "gap_p99": p99,
             }
         )
     return rows

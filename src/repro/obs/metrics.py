@@ -60,6 +60,25 @@ def _unwire_key(key: Any) -> Hashable:
     return result
 
 
+def nearest_rank(q: float, count: int) -> int:
+    """The 1-based rank of the ``q``-th percentile among ``count``
+    ordered values: ``ceil(q/100 * count)``, at least 1 (the
+    nearest-rank rule; ``q`` in [0, 100], else ``ValueError``).
+
+    The rank is exact: integer arithmetic for an integral ``q``, a
+    ``Fraction`` otherwise. The obvious float route (``int(q * count)``
+    then ceil-divide) truncates the product first, so a q*count that
+    float-rounds a hair below an integer lands one rank too low.
+    """
+    if not 0.0 <= q <= 100.0:
+        raise ValueError(f"percentile must be in [0, 100], got {q}")
+    if q == int(q):
+        rank = -(-int(q) * count // 100)
+    else:
+        rank = math.ceil(Fraction(q) * count / 100)
+    return max(1, rank)
+
+
 class Counter:
     """A monotonically increasing count (thread-safe)."""
 
@@ -189,26 +208,21 @@ class Histogram:
             return self.total / self.count if self.count else None
 
     def percentile(self, q: float) -> float | None:
-        """The exact ``q``-th percentile (nearest-rank on the value
-        counts; ``q`` in [0, 100]). ``None`` before any observation.
+        """The exact ``q``-th percentile (:func:`nearest_rank` on the
+        value counts; ``q`` in [0, 100]). ``None`` before any
+        observation.
 
         Exact counting means this is the true order statistic, not a
         bucket estimate — the latency/throughput summaries the ops
         report prints come straight from here.
         """
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {q}")
         with self._lock:
             counts = dict(self.counts)
             count = self.count
             maximum = self.maximum
+        rank = nearest_rank(q, count)
         if count == 0:
             return None
-        # ceil(q/100 * n) in exact rational arithmetic. The obvious
-        # float route (`int(q * count)` then ceil-divide) truncates the
-        # product first, so a q*count that float-rounds a hair below an
-        # integer lands one rank too low.
-        rank = max(1, math.ceil(Fraction(q) * count / 100))
         seen = 0
         for value in sorted(counts):
             seen += counts[value]

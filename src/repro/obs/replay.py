@@ -158,8 +158,9 @@ def fold_runs(
 
     The records that frame a trace (``shard_merged`` and
     ``trace_footer``) carry cell indices, not run ids, and join no run.
-    An engine event before its run's ``run_start``, or a second
-    ``run_start`` for one run, raises :class:`ReproError` naming the run.
+    An engine event whose run id is not an ``int``, one before its
+    run's ``run_start``, or a second ``run_start`` for one run raises
+    :class:`ReproError` naming the run.
     """
     runs: dict[int, R] = {}
     shards: list[ShardMergedEvent] = []
@@ -171,21 +172,22 @@ def fold_runs(
             elif isinstance(event, TraceFooterEvent):
                 footer = event
             continue
+        run = event.run
+        if type(run) is not int:  # run ids key, sort and range-test runs
+            raise ReproError(f"{event.kind} for run {run!r}: not an integer run id")
         if isinstance(event, RunStartEvent):
-            if event.run in runs:
-                raise ReproError(f"duplicate run_start for run {event.run}")
+            if run in runs:
+                raise ReproError(f"duplicate run_start for run {run}")
             shard = shards[-1] if shards else None
             if shard is not None and not (
-                shard.run_base <= event.run < shard.run_base + shard.runs
+                shard.run_base <= run < shard.run_base + shard.runs
             ):
                 shard = None
-            runs[event.run] = start(event, shard)
+            runs[run] = start(event, shard)
             continue
-        state = runs.get(event.run)
+        state = runs.get(run)
         if state is None:
-            raise ReproError(
-                f"event for run {event.run} before its run_start: {event}"
-            )
+            raise ReproError(f"event for run {run} before its run_start: {event}")
         add(state, event)
     return FoldedTrace([runs[k] for k in sorted(runs)], shards, footer)
 

@@ -291,5 +291,6 @@ def read_journal(
 
 def read_jsonl(path: str | Path) -> Iterator[TraceEvent]:
     """A JSONL trace's typed events, in file order (:func:`read_records`;
-    an unknown kind or a missing field is a :class:`ReproError` too)."""
+    an unknown kind, a missing field, or a value no event could hold is
+    a :class:`ReproError` too)."""
     return read_records(path, event_from_dict, ReproError)

@@ -13,7 +13,7 @@ traffic. This package is that serving stack in miniature, stdlib-only:
   execution path;
 * :mod:`repro.service.server` — the thread pool, bounded queues with
   typed backpressure, graceful drain, and ``repro.obs`` wiring
-  (latency/hit-ratio metrics, service trace events).
+  (latency and hit-ratio metrics; the service writes no trace).
 
 Run a seeded load burst from the command line::
 

@@ -28,6 +28,7 @@ belongs to the benchmarks.
 
 from __future__ import annotations
 
+import math
 import queue
 import threading
 from concurrent.futures import Future
@@ -113,6 +114,13 @@ class SearchService:
             raise ServiceError(
                 f"need a queue bound >= 1, got {self.config.queue_bound}"
             )
+        # A latency is a sum of these costs: a negative one would order
+        # requests wrongly, and NaN or infinity would leave the summary
+        # with no valid JSON number.
+        for name in ("read_cost", "hit_cost"):
+            cost = getattr(self.config, name)
+            if not (math.isfinite(cost) and cost >= 0):
+                raise ServiceError(f"need a finite {name} >= 0, got {cost}")
         if not tenants:
             raise ServiceError("need at least one tenant")
         block_size = store.params.block_size

@@ -19,6 +19,7 @@ The load-bearing claims under test:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 from hypothesis import given, settings
@@ -37,6 +38,7 @@ from repro.errors import PagingError
 from repro.experiments import ChaosConfig, run_campaign
 from repro.graphs import InfiniteGridGraph
 from repro.obs import (
+    Histogram,
     Instrumentation,
     JsonlSink,
     MetricsRegistry,
@@ -359,6 +361,64 @@ class TestMinOnBlockIds:
         }
 
 
+# -- the stack pass against a plain recency stack ------------------------
+
+
+def recency_stack_reference(rec):
+    """The Mattson pass done the slow way: a list of the sized blocks,
+    least recent first, where a block's distance is the cumulative size
+    of the blocks above it plus its own."""
+    stack = []
+    references = compulsory = 0
+    distances = {}
+    exact, note = True, None
+    for arrival in rec.arrivals:
+        seen = [
+            sum(rec.block_sizes[b] for b in stack[stack.index(block_id):])
+            for block_id in arrival.refs if block_id in stack
+        ]
+        if seen:
+            best = min(seen)
+            distances[best] = distances.get(best, 0) + 1
+        else:
+            compulsory += 1
+            if arrival.refs and not arrival.fault:
+                exact, note = False, "covered arrival references an unseen block"
+        for block_id in arrival.refs:
+            if block_id in rec.block_sizes:
+                if block_id in stack:
+                    stack.remove(block_id)
+                stack.append(block_id)
+                references += 1
+    return references, compulsory, distances, exact, note
+
+
+@st.composite
+def stack_records(draw):
+    """Touch-tracked runs drawn as :func:`min_records` draws them, where
+    about one arrival in two repeats the previous arrival's last
+    reference: the top of the stack when that block is sized."""
+    rec = draw(min_records())
+    arrivals = []
+    for arrival in rec.arrivals:
+        if arrivals and draw(st.booleans()):
+            arrivals.append(Arrival(refs=(arrivals[-1].refs[-1],), fault=False))
+        arrivals.append(arrival)
+    return dataclasses.replace(rec, arrivals=arrivals, touch_tracked=True)
+
+
+class TestStackAgainstReference:
+    @given(stack_records())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_a_plain_recency_stack(self, rec):
+        stack = stack_distances(rec)
+        got = (
+            stack.references, stack.compulsory, stack.distances,
+            stack.exact, stack.note,
+        )
+        assert got == recency_stack_reference(rec)
+
+
 # -- per-block ledger ---------------------------------------------------
 
 
@@ -391,6 +451,32 @@ class TestLedger:
         assert sum(row["reads"] for row in rows) == trace.faults
         assert sum(row["reloads"] for row in rows) == trace.faults - 3
         assert sum(row["evictions"] for row in rows) >= 1
+
+    @given(
+        st.lists(st.sampled_from([0, 1, (2, -2)]), max_size=300),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_gap_percentiles_equal_the_histogram(self, reads, touch_tracked):
+        """Each block's gap percentiles are those ``Histogram`` gives
+        for the same gaps, whether positions count arrivals or reads."""
+        rec = RunRecord(
+            run=0, driver="path", model="weak", block_size=1, memory_size=1,
+            eviction=LRU_EVICTION, touch_tracked=touch_tracked,
+            arrivals=[Arrival(refs=(b,), fault=True) for b in reads],
+            block_sizes={b: 1 for b in reads}, read_sequence=reads,
+        )
+        rows = block_ledger(rec)
+        assert len(rows) == len(set(reads))
+        for row in rows:
+            key = _block_key(row["block"])
+            at = [i for i, b in enumerate(reads) if _block_key(b) == key]
+            gaps = Histogram()
+            for earlier, later in zip(at, at[1:]):
+                gaps.observe(later - earlier)
+            assert [row["gap_p50"], row["gap_p90"], row["gap_p99"]] == list(
+                gaps.percentiles().values()
+            )
 
 
 # -- document plumbing --------------------------------------------------

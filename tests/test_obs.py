@@ -14,13 +14,17 @@ The load-bearing invariants:
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import inspect
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -61,7 +65,9 @@ from repro.obs.events import (
     RetryEvent,
     RunEndEvent,
     RunStartEvent,
+    ShardMergedEvent,
     StepEvent,
+    TraceFooterEvent,
     event_from_dict,
     jsonable,
 )
@@ -137,16 +143,68 @@ class TestEvents:
         EvictionEvent(run=0, block_ids=((0, (0,)), (1, (0,))),
                       copies=16, occupancy=0),
         RunEndEvent(run=0, trace=SearchTrace(steps=9).snapshot(), error=None),
+        ShardMergedEvent(
+            run=2, cell="grid1d", attempt=1, span="quick/2/1", run_base=5,
+            runs=3, events=40, dropped=0,
+        ),
+        TraceFooterEvent(run=-1, events_emitted=41),
     ]
+
+    def test_examples_cover_every_registered_kind(self):
+        assert {event.kind for event in self.EXAMPLES} == set(EVENT_TYPES)
 
     @pytest.mark.parametrize(
         "event", EXAMPLES, ids=lambda e: type(e).__name__
     )
     def test_dict_round_trip(self, event):
         """to_dict -> JSON -> event_from_dict is the identity, tuple
-        identifiers included (JSON turns them into lists)."""
+        identifiers included (JSON turns them into lists), and so is
+        decoding the wire line; the rebuilt event hashes alike."""
         wire = json.loads(json.dumps(event.to_dict()))
         assert event_from_dict(wire) == event
+        decoded = event_from_dict(json.loads(event.to_json()))
+        assert decoded == event
+        assert vars(decoded) == vars(event)
+        if isinstance(event, RunEndEvent):  # its trace is a dict: no hash
+            with pytest.raises(TypeError):
+                hash(decoded)
+        else:
+            assert hash(decoded) == hash(event)
+
+    @pytest.mark.parametrize("cls", sorted(EVENT_TYPES.values(), key=str))
+    def test_no_event_class_runs_code_at_construction(self, cls):
+        """The decoder builds an event with ``cls.__new__`` and fills its
+        ``__dict__``, skipping ``__init__``: sound only while no event
+        class, nor a base of one, defines ``__init__`` or
+        ``__post_init__`` (the dataclass-made ``__init__`` only stores
+        the fields)."""
+        for klass in cls.__mro__[:-1]:  # every class but object
+            (node,) = ast.parse(textwrap.dedent(inspect.getsource(klass))).body
+            assert isinstance(node, ast.ClassDef)
+            defined = {
+                item.name for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            }
+            assert not defined & {"__init__", "__post_init__"}, klass
+
+    @pytest.mark.parametrize("payload, says", [
+        ({"event": "fault", "run": 0, "vertex": [1, [{"x": 1}]], "gap": 1,
+          "index": 1},
+         "fault event field 'vertex' holds a JSON object"),
+        ({"event": "step", "run": 0, "vertex": [3], "blocks": "ab"},
+         "step event field 'blocks' is neither null nor an array"),
+        ({"event": "eviction", "run": 0, "block_ids": 3, "copies": 8,
+          "occupancy": 0},
+         "eviction event field 'block_ids' is neither null nor an array"),
+        ({"event": "run_end", "run": 0, "trace": "done"},
+         "run_end event field 'trace' is not a JSON object"),
+    ], ids=["nested-object-vertex", "string-blocks", "int-block-ids",
+            "string-trace"])
+    def test_fields_no_event_could_hold_are_refused(self, payload, says):
+        """The decoder's refusals that ``TestMalformedFields`` does not
+        drive through the CLIs."""
+        with pytest.raises(ReproError, match=f"^{says}: "):
+            event_from_dict(payload)
 
     def test_unknown_kind_rejected(self):
         from repro.errors import ReproError
@@ -538,7 +596,8 @@ class TestPercentileExactRank:
                 max_value=100.0,
                 exclude_min=True,
                 allow_nan=False,
-            ),
+            )
+            | st.integers(0, 100),
         )
         @settings(max_examples=200, deadline=None)
         def check(values, q):
@@ -1022,6 +1081,60 @@ class TestOrphanEvents:
             captured = capsys.readouterr()
             assert captured.err.count("\n") == 1
             assert says in captured.err
+            assert "Traceback" not in captured.err
+
+
+class TestMalformedFields:
+    """A value no event could have written is a typed error: an
+    identifier holding a JSON object, a ``blocks`` that is neither null
+    nor an array, or a ``trace`` that is not an object fails at its
+    ``path:line``, and a run id that is not an integer fails naming the
+    run. Every trace CLI prints one line and exits 2."""
+
+    #: Each case: the kind of line changed, the fields it takes, whether
+    #: the changed line is added after the trace instead of replacing
+    #: the first line of that kind, and what the error says.
+    CASES = {
+        "object-block-id": (
+            "block_read", {"block_id": {"x": 1}}, False,
+            "block_read event field 'block_id' holds a JSON object",
+        ),
+        "object-in-blocks": (
+            "step", {"blocks": [1, [2, {"x": 1}]]}, False,
+            "step event field 'blocks' holds a JSON object",
+        ),
+        "array-trace": (
+            "run_end", {"trace": [1, 2]}, False,
+            "run_end event field 'trace' is not a JSON object",
+        ),
+        "string-run-id": (
+            "run_start", {"run": "zero"}, True,
+            "run_start for run 'zero': not an integer run id",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_clis_exit_2_with_one_line(self, tmp_path, capsys, case):
+        kind, fields, added, says = self.CASES[case]
+        lines = traced_walk(tmp_path).read_text(encoding="utf-8").splitlines()
+        index = next(
+            i for i, line in enumerate(lines) if json.loads(line)["event"] == kind
+        )
+        changed = json.dumps({**json.loads(lines[index]), **fields})
+        if added:
+            lines.append(changed)
+        else:
+            lines[index] = changed
+        path = tmp_path / "malformed.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        where = "" if added else f"{path}:{index + 1}: "
+        with pytest.raises(ReproError, match=f"^{re.escape(where + says)}"):
+            replay_file(path)
+        for main, argv in TRACE_CLIS:
+            assert main(argv(path)) == 2
+            captured = capsys.readouterr()
+            assert captured.err.count("\n") == 1
+            assert f"error: {where}{says}" in captured.err
             assert "Traceback" not in captured.err
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -531,6 +532,17 @@ class TestBadConfiguration:
                 ServiceConfig(queue_bound=bound),
             )
 
+    @pytest.mark.parametrize("field", ["read_cost", "hit_cost"])
+    @pytest.mark.parametrize("cost", [-1.0, math.nan, math.inf])
+    def test_negative_or_non_finite_cost(self, field, cost):
+        # A latency sums these costs; NaN or infinity would print a
+        # summary that is not valid JSON.
+        with pytest.raises(ServiceError, match=rf"finite {field} >= 0, got {cost}$"):
+            SearchService(
+                build_store(SMALL_STORE), [TenantConfig("alpha")],
+                ServiceConfig(**{field: cost}),
+            )
+
     def test_zero_block_size(self):
         with pytest.raises(ModelError, match=r"block size B must be >= 1, got 0$"):
             build_store(dataclasses.replace(SMALL_STORE, block_size=0))
@@ -550,6 +562,9 @@ class TestBadConfiguration:
         (["--block-size", "0"], "block size B must be >= 1, got 0"),
         (["--steps", "-5"], "need >= 0 steps per request, got -5"),
         (["--requests", "-1"], "need >= 0 requests per client, got -1"),
+        (["--read-cost", "-1"], "need a finite read_cost >= 0, got -1.0"),
+        (["--read-cost", "nan"], "need a finite read_cost >= 0, got nan"),
+        (["--read-cost", "inf"], "need a finite read_cost >= 0, got inf"),
     ])
     def test_cli_exits_2_with_one_line(self, argv, message):
         done = subprocess.run(
