@@ -208,22 +208,29 @@ class TestOneCellRunner:
     def test_jobs_metrics_are_serial_plus_campaign_counters(
         self, tmp_path, capsys
     ):
+        """On a reliable and on a faulty disk (retries, replica
+        fallbacks and runs ended by an error), the ``--jobs 2`` snapshot
+        is the serial one plus the campaign's own counters."""
         cells = "grid1d,pathological,example2"
-        serial_path = tmp_path / "serial.json"
-        jobs_path = tmp_path / "jobs.json"
-        assert main(
-            ["--quick", "--cells", cells, "--metrics-out", str(serial_path)]
-        ) == 0
-        assert main(
-            ["--quick", "--cells", cells, "--jobs", "2",
-             "--metrics-out", str(jobs_path)]
-        ) == 0
-        capsys.readouterr()
-        serial = json.loads(serial_path.read_text())
-        jobs = json.loads(jobs_path.read_text())
-        extra = {name: jobs.pop(name) for name in set(jobs) - set(serial)}
-        assert extra == {"campaign_cells_started": 3, "campaign_cells_done": 3}
-        assert jobs == serial
+        for rate in ("0", "0.05"):
+            serial_path = tmp_path / f"serial-{rate}.json"
+            jobs_path = tmp_path / f"jobs-{rate}.json"
+            sweep = ["--quick", "--cells", cells, "--fault-rate", rate]
+            assert main([*sweep, "--metrics-out", str(serial_path)]) == 0
+            assert main(
+                [*sweep, "--jobs", "2", "--metrics-out", str(jobs_path)]
+            ) == 0
+            capsys.readouterr()
+            serial = json.loads(serial_path.read_text())
+            jobs = json.loads(jobs_path.read_text())
+            extra = {name: jobs.pop(name) for name in set(jobs) - set(serial)}
+            assert extra == {
+                "campaign_cells_started": 3, "campaign_cells_done": 3,
+            }
+            assert jobs == serial
+            if rate != "0":
+                assert serial["retries"] and serial["fallback_reads"]
+                assert serial["errored_runs"]
 
     def test_figures_with_jobs_still_prints_the_figures(self, capsys):
         assert main(["--figures", "--jobs", "2"]) == 0
