@@ -91,7 +91,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     "repro.obs.context": ("use_instrumentation",),
     "repro.obs.instrument": ("Instrumentation",),
     "repro.obs.metrics": ("MetricsRegistry",),
-    "repro.obs.profiling": ("PhaseProfiler",),
     "repro.obs.sinks": ("JsonlSink", "RingBufferSink"),
     "repro.reliability.store": ("ReliabilityConfig",),
 }
@@ -151,7 +150,6 @@ if TYPE_CHECKING:
     from repro.obs.context import use_instrumentation as use_instrumentation
     from repro.obs.instrument import Instrumentation as Instrumentation
     from repro.obs.metrics import MetricsRegistry as MetricsRegistry
-    from repro.obs.profiling import PhaseProfiler as PhaseProfiler
     from repro.obs.sinks import JsonlSink as JsonlSink, RingBufferSink as RingBufferSink
     from repro.reliability.store import ReliabilityConfig as ReliabilityConfig
 else:

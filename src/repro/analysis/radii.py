@@ -26,7 +26,7 @@ from repro.analysis.neighborhoods import (
     ball_volume,
     compact_neighborhood,
 )
-from repro.cache import cache_enabled, cached
+from repro.cache import cached
 from repro.errors import AnalysisError
 from repro.graphs.base import FiniteGraph, Graph
 from repro.typing import Vertex
@@ -68,7 +68,7 @@ def neighborhood_table(
 ) -> dict[Vertex, CompactNeighborhood] | None:
     """Every vertex's compact k-neighborhood, keyed in
     ``graph.vertices()`` order — or ``None`` when the table cannot be
-    cached (the graph has no :meth:`cache_key`, or caching is off).
+    cached (the graph has no :meth:`cache_key`).
 
     The table is memoized per ``(graph.cache_key(), k)`` in the
     construction cache, so the k-radii below and the Lemma 13 /
@@ -80,7 +80,7 @@ def neighborhood_table(
     at a time.
     """
     key = _extremum_key(graph, k, None)
-    if key is None or not cache_enabled():
+    if key is None:
         return None
     return cached(
         "radii.neighborhoods",

@@ -82,15 +82,6 @@ class CacheStats:
     disk_hits: int = 0
     disk_writes: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "disk_hits": self.disk_hits,
-            "disk_writes": self.disk_writes,
-        }
-
 
 class ConstructionCache:
     """A bounded LRU memo for deterministic constructions.
@@ -198,7 +189,6 @@ class ConstructionCache:
 class _CacheConfig:
     """Process-global cache configuration (see :func:`configure_cache`)."""
 
-    enabled: bool = True
     cache: ConstructionCache = field(default_factory=ConstructionCache)
 
 
@@ -210,23 +200,14 @@ def get_cache() -> ConstructionCache:
     return _config.cache
 
 
-def cache_enabled() -> bool:
-    return _config.enabled
-
-
 def configure_cache(
-    maxsize: int | None = None,
-    disk_dir: str | None = None,
-    enabled: bool | None = None,
+    maxsize: int | None = None, disk_dir: str | None = None
 ) -> ConstructionCache:
     """Reconfigure the global cache; returns the (fresh) instance.
 
     Passing ``maxsize`` or ``disk_dir`` replaces the cache (dropping
-    its entries); ``enabled=False`` makes :func:`cached` bypass it
-    entirely (the CLI's ``--no-cache``).
+    its entries).
     """
-    if enabled is not None:
-        _config.enabled = enabled
     if maxsize is not None or disk_dir is not None:
         current = _config.cache
         _config.cache = ConstructionCache(
@@ -240,9 +221,8 @@ def cached(kind: str, key: Hashable | None, builder: Callable[[], Any]) -> Any:
     """Memoize ``builder()`` under ``(kind, key)`` in the global cache.
 
     ``key=None`` means "this object has no stable identity" (e.g. a
-    graph without a :meth:`cache_key`): the builder simply runs. The
-    same holds while caching is disabled.
+    graph without a :meth:`cache_key`): the builder simply runs.
     """
-    if key is None or not _config.enabled:
+    if key is None:
         return builder()
     return _config.cache.get_or_build(kind, key, builder)

@@ -99,10 +99,6 @@ class MemoryView:
         at most, not per move; per-move questions go to :meth:`covers`."""
         return self._memory.covered_count
 
-    @property
-    def memory_capacity(self) -> int:
-        return self._memory.capacity
-
 
 class Adversary(abc.ABC):
     """An on-line path generator playing against the pager."""

@@ -12,7 +12,7 @@ until the next fault") can be checked.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any
 
 from repro.typing import BlockId
 
@@ -148,22 +148,6 @@ class SearchTrace:
             "fallback_reads": self.fallback_reads,
             "io_time": self.io_time,
         }
-
-    @classmethod
-    def from_snapshot(cls, data: Mapping[str, Any]) -> "SearchTrace":
-        """Rebuild a trace from :meth:`snapshot` output."""
-        return cls(
-            steps=data["steps"],
-            faults=data["faults"],
-            fault_gaps=list(data["fault_gaps"]),
-            blocks_read=data["blocks_read"],
-            block_reads=list(data["block_reads"]),
-            retries=data["retries"],
-            failed_reads=data["failed_reads"],
-            corrupt_reads=data["corrupt_reads"],
-            fallback_reads=data["fallback_reads"],
-            io_time=data["io_time"],
-        )
 
     def summary(self) -> str:
         """One-line human-readable digest.

@@ -50,18 +50,13 @@ Observability flags (see ``repro.obs``):
 * ``--progress`` prints one line per sweep cell with elapsed time/ETA:
   in sweep order serially, in completion order with ``--jobs`` or
   ``--campaign``.
-* ``--profile`` prints per-cell wall-clock timings as JSON (serial
-  runs only; ``--cells`` picks the cells it times).
 
 Performance flags:
 
 * ``--jobs N`` runs the sweep as a campaign (below) with ``N``
   supervised worker processes, journaled to a throw-away manifest in a
   temporary directory that is removed even if the sweep raises.
-  Results and merged traces are byte-identical to serial; the profiler
-  times cells in this process only, so ``--profile`` excludes it.
-* ``--no-cache`` disables the construction cache (every graph,
-  blocking, and radius is rebuilt from scratch).
+  Results and merged traces are byte-identical to serial.
 * ``--cache-dir PATH`` persists cached constructions to disk so
   repeated sweeps skip the expensive builds.
 
@@ -175,11 +170,6 @@ def main(argv: list[str] | None = None) -> int:
         help="print one progress line per sweep cell (elapsed/ETA)",
     )
     parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="print per-cell wall-clock timings as JSON",
-    )
-    parser.add_argument(
         "--jobs",
         type=int,
         default=1,
@@ -187,11 +177,6 @@ def main(argv: list[str] | None = None) -> int:
         help="run sweep cells in N worker processes, as a campaign on a "
         "throw-away journal (default 1 = serial; results are identical "
         "either way)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the construction cache (rebuild every graph/blocking)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -300,11 +285,6 @@ def main(argv: list[str] | None = None) -> int:
         ):
             if value:
                 parser.error(f"{flag} requires --campaign or --resume")
-    if args.profile and supervised:
-        parser.error(
-            "--profile times cells in this process, but --campaign, --resume "
-            "and --jobs > 1 run them in workers; drop --profile or run serially"
-        )
     if args.resume:
         # The manifest header pins the sweep shape; restore it so a bare
         # `--resume PATH` continues exactly the campaign that started.
@@ -321,15 +301,10 @@ def main(argv: list[str] | None = None) -> int:
             cells = list(meta["cells"])
     if args.forensics and not args.trace_out:
         parser.error("--forensics needs the recorded trace; add --trace-out PATH")
-    if args.no_cache and args.cache_dir:
-        parser.error("--no-cache and --cache-dir are mutually exclusive")
-    if args.no_cache or args.cache_dir:
+    if args.cache_dir:
         from repro.cache import configure_cache
 
-        configure_cache(
-            enabled=not args.no_cache,
-            disk_dir=args.cache_dir,
-        )
+        configure_cache(disk_dir=args.cache_dir)
 
     if args.figures:
         from repro.experiments.figures import all_figures
@@ -358,7 +333,6 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     instr = None
-    profiler = None
     progress = None
     ambient = contextlib.nullcontext()
     # The telemetry plane (worker shards merged by the parent) carries
@@ -385,10 +359,6 @@ def main(argv: list[str] | None = None) -> int:
         if sink is not None or metrics is not None:
             instr = Instrumentation(sink=sink, metrics=metrics)
             ambient = use_instrumentation(instr)
-    if args.profile:
-        from repro.obs import PhaseProfiler
-
-        profiler = PhaseProfiler()
     if args.progress:
         from repro.obs import SweepProgress
 
@@ -438,7 +408,6 @@ def main(argv: list[str] | None = None) -> int:
             games, checks = run_all(
                 quick=args.quick,
                 reliability=reliability,
-                profiler=profiler,
                 progress=progress,
                 names=cells,
             )
@@ -466,10 +435,6 @@ def main(argv: list[str] | None = None) -> int:
 
         atomic_write_text(args.metrics_out, instr.metrics.to_json() + "\n")
         print(f"metrics snapshot written to {args.metrics_out}\n")
-    if profiler is not None:
-        print("== Phase timings ==\n")
-        print(profiler.to_json())
-        print()
     if args.json:
         from repro.experiments.io import dump_results
 

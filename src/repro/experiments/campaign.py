@@ -192,7 +192,6 @@ def run_campaign(
     max_attempts: int = 3,
     cell_timeout: float | None = None,
     chaos: ChaosConfig | None = None,
-    retry_sleep_scale: float = 0.0,
     progress: "Callable[[int, int, str], None] | None" = None,
     meta: Mapping[str, Any] | None = None,
     trace_out: str | Path | None = None,
@@ -210,15 +209,13 @@ def run_campaign(
         retry: backoff policy granting re-attempts after a worker
             failure; defaults to seeded-jitter exponential backoff with
             ``max_attempts`` total attempts per cell. Delays are the
-            policy's modeled units, recorded in the journal/metrics and
-            (scaled by ``retry_sleep_scale``) slept in real time.
+            policy's modeled units, recorded in the journal and the
+            metrics, never slept: a granted retry launches at once.
         cell_timeout: per-attempt wall-clock watchdog in seconds; a
             worker past it is SIGKILLed and the attempt counts as a
             ``timeout`` failure. ``None`` disables the watchdog.
         chaos: a :class:`~repro.experiments.chaos.ChaosConfig` injected
             into every worker (tests the recovery paths themselves).
-        retry_sleep_scale: real seconds slept per modeled delay unit
-            before a retry is eligible to launch (0 = retry at once).
         progress: ``progress(done, total, name)`` after each terminal
             cell, completed-on-resume cells included.
         meta: extra JSON-able data stored in a fresh manifest's header
@@ -247,16 +244,12 @@ def run_campaign(
         raise ReproError(f"max_attempts must be >= 1, got {max_attempts}")
     if cell_timeout is not None and cell_timeout <= 0:
         raise ReproError(f"cell_timeout must be > 0, got {cell_timeout}")
-    if retry_sleep_scale < 0:
-        raise ReproError(
-            f"retry_sleep_scale must be >= 0, got {retry_sleep_scale}"
-        )
     manifest_path = Path(manifest_path)
     specs = cell_specs(quick=quick, reliability=reliability, names=names)
     total = len(specs)
     results: dict[int, list[ExperimentResult] | list[CheckResult]] = {}
-    # Queue entries: (cell index, attempts already made, not-before time).
-    pending: deque[tuple[int, int, float]] = deque()
+    # Queue entries: (cell index, attempts already made).
+    pending: deque[tuple[int, int]] = deque()
 
     if resume:
         manifest = load_manifest(manifest_path)
@@ -264,7 +257,7 @@ def run_campaign(
         for index in manifest.completed_indices():
             results[index] = manifest.cell(index).load_results()
         for index in manifest.pending_indices():
-            pending.append((index, 0, 0.0))
+            pending.append((index, 0))
         writer = ManifestWriter.resume(manifest)
         writer.append(
             {
@@ -278,7 +271,7 @@ def run_campaign(
     else:
         writer = ManifestWriter.create(manifest_path, specs, meta=meta)
         for index in range(total):
-            pending.append((index, 0, 0.0))
+            pending.append((index, 0))
 
     if retry is None:
         retry = ExponentialBackoff(
@@ -314,12 +307,7 @@ def run_campaign(
             writer.cell_retrying(job.index, spec.name, job.attempt, reason, delay)
             _count("campaign_retries")
             _observe("campaign_retry_delay", delay)
-            not_before = (
-                time.monotonic() + delay * retry_sleep_scale
-                if retry_sleep_scale
-                else 0.0
-            )
-            pending.append((job.index, job.attempt, not_before))
+            pending.append((job.index, job.attempt))
             return
         error = (
             f"cell {spec.name!r} exhausted {job.attempt} attempt(s); "
@@ -383,14 +371,10 @@ def run_campaign(
 
     try:
         while pending or active:
-            # Launch as many eligible cells as the job cap allows.
+            # Launch as many pending cells as the job cap allows.
             now = time.monotonic()
-            deferred: list[tuple[int, int, float]] = []
             while pending and len(active) < jobs:
-                index, attempts_made, not_before = pending.popleft()
-                if not_before > now:
-                    deferred.append((index, attempts_made, not_before))
-                    continue
+                index, attempts_made = pending.popleft()
                 attempt = attempts_made + 1
                 spec = specs[index]
                 result_path = workdir / f"cell-{index:03d}-a{attempt}.pkl"
@@ -414,25 +398,13 @@ def run_campaign(
                 active.append(
                     _Active(proc, index, spec, attempt, result_path, deadline)
                 )
-            pending.extend(deferred)
-            if not active:
-                if pending:
-                    # Everything is backing off; sleep to the earliest slot.
-                    now = time.monotonic()
-                    earliest = min(entry[2] for entry in pending)
-                    time.sleep(max(earliest - now, 0.0) + 0.001)
-                continue
 
-            # Block until a worker exits, a watchdog deadline passes, or a
-            # deferred retry becomes eligible.
+            # Block until a worker exits or a watchdog deadline passes.
             now = time.monotonic()
             horizon = 0.5
             for job in active:
                 if job.deadline is not None:
                     horizon = min(horizon, job.deadline - now)
-            for entry in pending:
-                if entry[2] > now:
-                    horizon = min(horizon, entry[2] - now)
             _sentinel_wait(
                 [job.proc.sentinel for job in active], timeout=max(horizon, 0.0)
             )

@@ -15,10 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
-
-if TYPE_CHECKING:
-    from repro.obs.profiling import PhaseProfiler
+from typing import Callable, Sequence
 
 from repro.adversaries import (
     DiagonalCorridorAdversary,
@@ -1016,7 +1013,6 @@ def run_cell(spec: CellSpec) -> list[ExperimentResult] | list[CheckResult]:
 def run_all(
     quick: bool = False,
     reliability: ReliabilityConfig | None = None,
-    profiler: "PhaseProfiler | None" = None,
     progress: "Callable[[int, int, str], None] | None" = None,
     names: Sequence[str] | None = None,
 ) -> tuple[list[ExperimentResult], list[CheckResult]]:
@@ -1027,8 +1023,6 @@ def run_all(
     ``names`` restricts the sweep to those cells, as
     :func:`cell_specs` takes them.
 
-    ``profiler`` times each named cell under the phase
-    ``table1.<cell>`` (see :class:`repro.obs.PhaseProfiler`).
     ``progress`` is called as ``progress(done, total, label)`` after
     every cell — :class:`repro.obs.SweepProgress` prints these with
     elapsed time and an ETA.
@@ -1042,11 +1036,7 @@ def run_all(
     games: list[ExperimentResult] = []
     checks: list[CheckResult] = []
     for done, spec in enumerate(specs, start=1):
-        if profiler is not None:
-            with profiler.phase(f"table1.{spec.name}"):
-                out = run_cell(spec)
-        else:
-            out = run_cell(spec)
+        out = run_cell(spec)
         if spec.kind == "game":
             games += out
         else:

@@ -23,15 +23,12 @@ Architecture (one file each, ~flake8-plugin shaped but self-contained):
   rules (guard-map inference, lock-order cycles, unguarded thread
   captures, blocking calls under a lock); the static half of the
   concurrency gate whose dynamic half is :mod:`repro.obs.locksan`.
-* :mod:`repro.lint.baseline` — the ``lint_baseline.json`` burn-down
-  mechanism: pre-existing findings are hidden, new ones fail.
 * :mod:`repro.lint.config`   — ``[tool.repro-lint]`` in pyproject.toml.
 * :mod:`repro.lint.cli`      — ``python -m repro.lint``.
 
-Suppression: append ``# lint: ignore[RL003]`` (or a bare
-``# lint: ignore`` for all rules) to a line, or ``# lint: skip-file``
-anywhere in the first ten lines of a file. Suppressions are for
-*reviewed* exceptions; prefer fixing or baselining.
+Suppression: append ``# lint: ignore[RL003] -- reason`` (or a bare
+``# lint: ignore`` for all rules) to a line. It is the one way to
+accept a finding, and it is for *reviewed* exceptions; prefer fixing.
 """
 
 from __future__ import annotations
@@ -43,7 +40,6 @@ from repro import _facade
 #: The public names, by defining module; each is imported on its first
 #: lookup (:func:`repro._facade`).
 _EXPORTS: dict[str, tuple[str, ...]] = {
-    "repro.lint.baseline": ("Baseline",),
     "repro.lint.config": ("LintConfig", "load_config"),
     "repro.lint.engine": ("LintEngine", "LintReport"),
     "repro.lint.findings": ("Finding", "Severity"),
@@ -53,7 +49,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
 }
 
 if TYPE_CHECKING:
-    from repro.lint.baseline import Baseline as Baseline
     from repro.lint.config import LintConfig as LintConfig, load_config as load_config
     from repro.lint.engine import LintEngine as LintEngine, LintReport as LintReport
     from repro.lint.findings import Finding as Finding, Severity as Severity

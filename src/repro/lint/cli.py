@@ -1,7 +1,6 @@
 """``python -m repro.lint`` — the linter's command line.
 
-Exit codes: 0 clean (or everything baselined), 1 findings, 2 usage or
-configuration error. ``--format json`` output is sorted and stable so
+Exit codes: 0 clean, 1 findings, 2 usage or configuration error. ``--format json`` output is sorted and stable so
 CI diffs and the BENCH_lint rollup can consume it directly.
 """
 
@@ -12,14 +11,11 @@ import dataclasses
 import json
 import sys
 import time
-from pathlib import Path
 from typing import IO, Sequence
 
 from repro.errors import ReproError
-from repro.lint.baseline import Baseline
 from repro.lint.config import load_config
 from repro.lint.engine import LintEngine, LintReport
-from repro.lint.findings import Finding
 from repro.lint.rules import all_rules
 
 
@@ -36,23 +32,13 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--root",
         default=".",
-        help="project root holding pyproject.toml and the baseline (default: .)",
+        help="project root holding pyproject.toml (default: .)",
     )
     parser.add_argument(
         "--format",
         choices=("text", "json"),
         default="text",
         help="output format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline",
-        action="store_true",
-        help="hide findings recorded in the baseline file; fail only on new ones",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current findings to the baseline file and exit 0",
     )
     parser.add_argument(
         "--select",
@@ -83,36 +69,24 @@ def _split_rules(raw: str) -> tuple[str, ...]:
     return tuple(token.strip() for token in raw.split(",") if token.strip())
 
 
-def _render_text(
-    findings: Sequence[Finding],
-    report: LintReport,
-    hidden: int,
-    out: IO[str],
-) -> None:
-    for finding in findings:
+def _render_text(report: LintReport, out: IO[str]) -> None:
+    for finding in report.findings:
         out.write(finding.render() + "\n")
-    summary = f"{len(findings)} finding(s) in {report.files_scanned} file(s)"
-    if hidden:
-        summary += f" ({hidden} baselined)"
+    summary = (
+        f"{len(report.findings)} finding(s) in {report.files_scanned} file(s)"
+    )
     if report.suppressed:
         summary += f" ({report.suppressed} suppressed inline)"
     out.write(summary + "\n")
 
 
-def _render_json(
-    findings: Sequence[Finding],
-    report: LintReport,
-    hidden: int,
-    duration: float,
-    out: IO[str],
-) -> None:
+def _render_json(report: LintReport, duration: float, out: IO[str]) -> None:
     payload = {
         "version": 1,
-        "findings": [finding.to_dict() for finding in findings],
+        "findings": [finding.to_dict() for finding in report.findings],
         "stats": {
             "files_scanned": report.files_scanned,
-            "findings": len(findings),
-            "baselined": hidden,
+            "findings": len(report.findings),
             "suppressed": report.suppressed,
             "by_rule": report.counts_by_rule,
             "by_severity": report.counts_by_severity,
@@ -122,15 +96,8 @@ def _render_json(
     out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _render_stats(
-    findings: Sequence[Finding],
-    report: LintReport,
-    duration: float,
-    out: IO[str],
-) -> None:
-    counts: dict[str, int] = {}
-    for finding in findings:
-        counts[finding.rule] = counts.get(finding.rule, 0) + 1
+def _render_stats(report: LintReport, duration: float, out: IO[str]) -> None:
+    counts = report.counts_by_rule
     out.write("per-rule counts:\n")
     for rule in all_rules():
         out.write(f"  {rule.id}: {counts.get(rule.id, 0)}\n")
@@ -168,34 +135,18 @@ def main(argv: Sequence[str] | None = None, out: IO[str] | None = None) -> int:
     except ReproError as exc:
         print(f"repro.lint: error: {exc}", file=sys.stderr)
         return 2
-    baseline_path = Path(args.root) / config.baseline_path
-    if args.write_baseline:
-        Baseline.from_findings(report.findings).dump(baseline_path)
-        stream.write(
-            f"wrote {len(report.findings)} finding(s) to {baseline_path}\n"
-        )
-        return 0
-    findings = report.findings
-    hidden = 0
-    if args.baseline:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except ReproError as exc:
-            print(f"repro.lint: error: {exc}", file=sys.stderr)
-            return 2
-        findings, hidden = baseline.filter(findings)
     duration = time.perf_counter() - started  # lint: ignore[RL002] -- self-timing
     if args.format == "json":
-        _render_json(findings, report, hidden, duration, stream)
+        _render_json(report, duration, stream)
     else:
-        _render_text(findings, report, hidden, stream)
+        _render_text(report, stream)
         if args.stats:
-            _render_stats(findings, report, duration, stream)
+            _render_stats(report, duration, stream)
     if report.parse_errors:
         for message in report.parse_errors:
             print(f"repro.lint: parse error: {message}", file=sys.stderr)
         return 2
-    return 1 if findings else 0
+    return 1 if report.findings else 0
 
 
 __all__ = ["main"]

@@ -6,7 +6,7 @@ only defense against data races used to be whichever test happened to
 interleave badly. These rules make lock discipline a *linted
 invariant*, sharing one violation vocabulary with the dynamic
 sanitizer (:mod:`repro.obs.locksan`) so CI can assert "static findings
-are baselined, dynamic findings are empty".
+are empty, dynamic findings are empty".
 
 The shared machinery is a per-class **concurrency summary** built once
 per ``ClassDef`` and cached in ``ctx.scratch``:

@@ -32,8 +32,6 @@ class LintConfig:
 
     root: Path = Path(".")
     paths: tuple[str, ...] = ("src/repro",)
-    exclude: tuple[str, ...] = ()
-    baseline_path: str = "lint_baseline.json"
     select: tuple[str, ...] = ()  # empty = all registered rules
     ignore: tuple[str, ...] = ()
     # RL001/RL002: paths allowed to read ambient randomness / the clock.
@@ -63,13 +61,9 @@ class LintConfig:
             for prefix in prefixes
         )
 
-    def is_excluded(self, relpath: str) -> bool:
-        return self.is_under(relpath, self.exclude)
-
 
 _TUPLE_FIELDS = {
     "paths",
-    "exclude",
     "select",
     "ignore",
     "rng_exempt_paths",
@@ -81,26 +75,17 @@ _TUPLE_FIELDS = {
     "typed_api_paths",
     "blocking_call_names",
 }
-_STR_FIELDS = {"baseline_path"}
 
 
 def _coerce(key: str, value: Any) -> Any:
     toml_key = key.replace("_", "-")
-    if key in _TUPLE_FIELDS:
-        if not isinstance(value, list) or not all(
-            isinstance(v, str) for v in value
-        ):
-            raise LintConfigError(
-                f"[tool.repro-lint] {toml_key} must be a list of strings"
-            )
-        return tuple(value)
-    if key in _STR_FIELDS:
-        if not isinstance(value, str):
-            raise LintConfigError(
-                f"[tool.repro-lint] {toml_key} must be a string"
-            )
-        return value
-    raise LintConfigError(f"[tool.repro-lint] unknown key {toml_key!r}")
+    if key not in _TUPLE_FIELDS:
+        raise LintConfigError(f"[tool.repro-lint] unknown key {toml_key!r}")
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise LintConfigError(
+            f"[tool.repro-lint] {toml_key} must be a list of strings"
+        )
+    return tuple(value)
 
 
 def load_config(root: Path | str = ".") -> LintConfig:

@@ -7,8 +7,7 @@ AST node to the rules that declared interest in its type (a
 O(nodes + findings), not O(nodes x rules)).
 
 Inline suppression: ``# lint: ignore`` (all rules) or
-``# lint: ignore[RL003,RL006]`` on the offending line;
-``# lint: skip-file`` within the first ten lines skips the file.
+``# lint: ignore[RL003,RL006]`` on the offending line.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from repro.lint.rules import (
 )
 
 _IGNORE_RE = re.compile(r"#\s*lint:\s*ignore(?:\[([A-Z0-9,\s]+)\])?")
-_SKIP_FILE_RE = re.compile(r"#\s*lint:\s*skip-file")
 
 
 @dataclass
@@ -113,11 +111,7 @@ class LintEngine:
                 files.add(root)
             elif root.is_dir():
                 files.update(root.rglob("*.py"))
-        return [
-            path
-            for path in sorted(files)
-            if not self.config.is_excluded(self._relpath(path))
-        ]
+        return sorted(files)
 
     def _relpath(self, path: Path) -> str:
         try:
@@ -206,9 +200,6 @@ class LintEngine:
         except SyntaxError as exc:
             report.parse_errors.append(f"{relpath}: {exc}")
             return
-        lines = source.splitlines()
-        if any(_SKIP_FILE_RE.search(line) for line in lines[:10]):
-            return
         report.files_scanned += 1
         active = [
             rule
@@ -222,7 +213,7 @@ class LintEngine:
             for node_type in rule.interests:
                 dispatch.setdefault(node_type, []).append(rule)
         ctx = FileContext.build(relpath, source, tree, self.config, project)
-        suppressed = _suppressions(lines)
+        suppressed = _suppressions(source.splitlines())
         suppressions[relpath] = suppressed
         for node in ast.walk(tree):
             for rule in dispatch.get(type(node), ()):

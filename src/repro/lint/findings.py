@@ -1,8 +1,8 @@
 """Findings: what a rule reports and how findings are ordered.
 
 A :class:`Finding` is one violation at one source location. Findings
-sort by ``(path, line, col, rule)`` so every output format — text,
-JSON, the baseline file — is stable across runs and across
+sort by ``(path, line, col, rule)`` so every output format — text
+and JSON — is stable across runs and across
 ``PYTHONHASHSEED`` values (the linter holds itself to the invariants
 it enforces).
 """
@@ -34,11 +34,8 @@ class Severity(enum.Enum):
 class Finding:
     """One rule violation at one location.
 
-    ``path`` is POSIX-relative to the lint root so baselines and JSON
-    output are machine-independent. ``fingerprint`` (path, rule,
-    message) deliberately excludes the line number: a baselined finding
-    stays hidden when unrelated edits shift it, and reappears only if
-    its message (which names the offending symbol) changes.
+    ``path`` is POSIX-relative to the lint root so the JSON output is
+    machine-independent.
     """
 
     path: str
@@ -48,13 +45,8 @@ class Finding:
     severity: Severity
     message: str
 
-    @property
-    def fingerprint(self) -> tuple[str, str, str]:
-        """Line-insensitive identity used by the baseline mechanism."""
-        return (self.path, self.rule, self.message)
-
     def to_dict(self) -> dict[str, Any]:
-        """JSON-ready form (used by ``--format json`` and baselines)."""
+        """JSON-ready form (used by ``--format json``)."""
         return {
             "path": self.path,
             "line": self.line,

@@ -118,7 +118,7 @@ class WallClockRule(Rule):
     severity = Severity.ERROR
     rationale = "real timestamps make traces irreproducible"
     autofix_hint = (
-        "move the measurement into repro.obs (PhaseProfiler) or model "
+        "move the measurement into repro.obs or the benchmarks, or model "
         "the cost explicitly"
     )
     interests = (ast.Call,)

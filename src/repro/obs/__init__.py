@@ -1,22 +1,22 @@
-"""Observability: event tracing, metrics, profiling, and replay.
+"""Observability: event tracing, metrics, bench rollups, and replay.
 
 The instrumentation layer the ROADMAP's performance work stands on.
 Four pieces, all opt-in and zero-overhead when unconfigured:
 
 * **events + sinks** (`repro.obs.events`, `repro.obs.sinks`) — the
   engine's life as eight typed events (run/step/fault/block_read/
-  retry/fallback/eviction/run_end) flowing into ring buffers, JSONL
-  files, or composites;
+  retry/fallback/eviction/run_end) flowing into ring buffers or JSONL
+  files;
 * **instrumentation** (`repro.obs.instrument`) — the hook protocol the
   engine emits into, either passed to ``Searcher(...)`` explicitly or
   made ambient with :func:`use_instrumentation`;
 * **metrics** (`repro.obs.metrics`) — counters/gauges/histograms with
   dict/JSON snapshots (per-block read counts, fault-gap distribution,
   working-set trajectory, eviction churn, retry/fallback rates);
-* **profiling + replay** (`repro.obs.profiling`, `repro.obs.replay`) —
-  ``perf_counter`` phase rollups feeding the ``BENCH_*.json``
-  trajectory, and ``python -m repro.obs.replay`` to reconstruct,
-  verify, visualize, and diff JSONL traces.
+* **progress + rollups + replay** (`repro.obs.profiling`,
+  `repro.obs.replay`) — the sweep's ``elapsed/ETA`` lines, the
+  ``BENCH_*.json`` trajectory, and ``python -m repro.obs.replay`` to
+  reconstruct, verify, visualize, and diff JSONL traces.
 
 The command-line modules (replay, forensics, report, benchwatch) are
 not imported here, so ``python -m`` runs each of them once: import
@@ -52,12 +52,9 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     "repro.obs.metrics": (
         "Counter", "Gauge", "Histogram", "LabeledCounter", "MetricsRegistry",
     ),
-    "repro.obs.profiling": (
-        "PhaseProfiler", "SweepProgress", "bench_rollup", "write_bench_json",
-    ),
+    "repro.obs.profiling": ("SweepProgress", "bench_rollup", "write_bench_json"),
     "repro.obs.sinks": (
-        "CompositeSink", "JsonlSink", "NullSink", "RingBufferSink", "TraceSink",
-        "read_jsonl",
+        "JsonlSink", "NullSink", "RingBufferSink", "TraceSink", "read_jsonl",
     ),
     "repro.obs.spans": (
         "MergeReport", "ShardRecorder", "ShardRef", "merge_shard_metrics",
@@ -98,13 +95,11 @@ if TYPE_CHECKING:
         MetricsRegistry as MetricsRegistry,
     )
     from repro.obs.profiling import (
-        PhaseProfiler as PhaseProfiler,
         SweepProgress as SweepProgress,
         bench_rollup as bench_rollup,
         write_bench_json as write_bench_json,
     )
     from repro.obs.sinks import (
-        CompositeSink as CompositeSink,
         JsonlSink as JsonlSink,
         NullSink as NullSink,
         RingBufferSink as RingBufferSink,

@@ -108,11 +108,6 @@ class Instrumentation(InstrumentationHook):
         self.metrics = metrics
         self._run = -1
 
-    @property
-    def run_id(self) -> int:
-        """Id of the run currently (or last) observed; -1 before any."""
-        return self._run
-
     def close(self) -> None:
         self.sink.close()
 

@@ -135,10 +135,6 @@ class LockSanitizer:
             self._held.stack = stack
         return stack
 
-    def held_locks(self) -> tuple[str, ...]:
-        """The calling thread's currently held instrumented locks."""
-        return tuple(self._stack())
-
     # -- events ------------------------------------------------------------
 
     def before_acquire(self, name: str, site: str) -> None:

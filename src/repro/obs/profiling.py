@@ -1,10 +1,8 @@
-"""Phase profiling and the standardized benchmark rollup.
+"""Sweep progress lines and the standardized benchmark rollup.
 
-:class:`PhaseProfiler` accumulates ``perf_counter`` wall time per named
-phase — the harness wraps each engine run and each Table 1 sweep cell
-in one, so "where did the minutes go" is a machine-readable report
-instead of a guess. :class:`SweepProgress` turns the same clock into
-the CLI's ``cells done / elapsed / ETA`` lines.
+:class:`SweepProgress` turns ``perf_counter`` into the CLI's ``cells
+done / elapsed / ETA`` lines (``--progress``), so every cell's time is
+printed as it finishes, serially and under ``--jobs``.
 
 :func:`bench_rollup` + :func:`write_bench_json` are the emission path
 for the repository's ``BENCH_<name>.json`` trajectory: every
@@ -16,89 +14,11 @@ in ``benchmarks/conftest.py``).
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 BENCH_SCHEMA = 1
-
-
-class PhaseStats:
-    """Accumulated wall time for one phase."""
-
-    __slots__ = ("name", "seconds", "count")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.seconds = 0.0
-        self.count = 0
-
-    @property
-    def mean_s(self) -> float:
-        return self.seconds / self.count if self.count else 0.0
-
-    def snapshot(self) -> dict[str, Any]:
-        return {
-            "phase": self.name,
-            "seconds": self.seconds,
-            "count": self.count,
-            "mean_s": self.mean_s,
-        }
-
-
-class PhaseProfiler:
-    """Named ``perf_counter`` timers with a machine-readable rollup.
-
-    >>> profiler = PhaseProfiler()
-    >>> with profiler.phase("table1.tree"):
-    ...     tree_row()
-    >>> profiler.report()["phases"][0]["phase"]
-    'table1.tree'
-
-    Phases may repeat (times accumulate) and nest (each level is
-    charged its full wall time under its own name).
-    """
-
-    def __init__(self, clock: Callable[[], float] = perf_counter) -> None:
-        self._clock = clock
-        self._phases: dict[str, PhaseStats] = {}
-        self._created = clock()
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        start = self._clock()
-        try:
-            yield
-        finally:
-            self.record(name, self._clock() - start)
-
-    def record(self, name: str, seconds: float) -> None:
-        """Charge ``seconds`` of wall time to ``name`` directly."""
-        stats = self._phases.get(name)
-        if stats is None:
-            stats = self._phases[name] = PhaseStats(name)
-        stats.seconds += seconds
-        stats.count += 1
-
-    def __getitem__(self, name: str) -> PhaseStats:
-        return self._phases[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._phases
-
-    def report(self) -> dict[str, Any]:
-        """All phases (insertion order) plus totals, JSON-ready."""
-        phases = [stats.snapshot() for stats in self._phases.values()]
-        return {
-            "schema": BENCH_SCHEMA,
-            "phases": phases,
-            "total_s": sum(p["seconds"] for p in phases),
-            "wall_s": self._clock() - self._created,
-        }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.report(), indent=indent, sort_keys=True)
 
 
 class SweepProgress:

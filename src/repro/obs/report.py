@@ -560,14 +560,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="write the report here (default: print markdown to stdout)",
     )
     parser.add_argument(
-        "--html",
-        action="store_true",
-        help="shorthand for --format html",
-    )
-    parser.add_argument(
         "--format",
         choices=("markdown", "html", "json"),
-        default=None,
+        default="markdown",
         help=(
             "output form: markdown (default), html (markdown plus the "
             "report-data JSON island), or json (the machine-readable "
@@ -584,9 +579,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.top_blocks < 1:
         parser.error(f"--top-blocks must be >= 1, got {args.top_blocks}")
-    if args.format is not None and args.html and args.format != "html":
-        parser.error(f"--html conflicts with --format {args.format}")
-    form = args.format or ("html" if args.html else "markdown")
     try:
         report = load_report(
             manifest=args.manifest, trace=args.trace, metrics=args.metrics
@@ -594,9 +586,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ReproError as exc:  # unreadable artifacts: one line, not a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if form == "html":
+    if args.format == "html":
         rendered = render_html(report, top_blocks=args.top_blocks)
-    elif form == "json":
+    elif args.format == "json":
         rendered = render_json(report).rstrip("\n")
     else:
         rendered = render_markdown(report, top_blocks=args.top_blocks)

@@ -1,14 +1,13 @@
 """Event sinks: where emitted trace events go.
 
-A sink is anything with ``emit(event)`` and ``close()``. Four are
+A sink is anything with ``emit(event)`` and ``close()``. Three are
 provided:
 
 * :class:`NullSink` — swallows everything (metrics-only setups);
 * :class:`RingBufferSink` — keeps the last ``capacity`` events in
   memory (always-on flight recorder: cheap until you need the tail);
 * :class:`JsonlSink` — appends one JSON object per event to a file,
-  the format ``repro.obs.replay`` consumes;
-* :class:`CompositeSink` — fans out to several sinks.
+  the format ``repro.obs.replay`` consumes.
 
 Sinks account for their own lossiness: ``events_dropped`` counts the
 events a bounded sink discarded (only :class:`RingBufferSink` ever
@@ -31,7 +30,6 @@ from typing import IO, Any, Callable, Iterator, TypeVar
 
 from repro.errors import ReproError
 from repro.obs.events import TraceEvent, event_from_dict
-from repro.obs.metrics import MetricsRegistry
 
 T = TypeVar("T")
 
@@ -79,28 +77,22 @@ class RingBufferSink(TraceSink):
     """Holds the most recent ``capacity`` events in memory.
 
     When the ring wraps, the overwritten event is *dropped*:
-    ``events_dropped`` counts them, and (when a ``metrics`` registry is
-    attached) the ``obs_events_dropped`` counter tracks the same number
-    — so a flight recorder that lost its early history says so instead
-    of silently presenting a truncated past as complete.
+    ``events_dropped`` counts them (a shard's ``trace_footer`` carries
+    the number) — so a flight recorder that lost its early history says
+    so instead of silently presenting a truncated past as complete.
     """
 
-    def __init__(
-        self, capacity: int = 4096, metrics: MetricsRegistry | None = None
-    ) -> None:
+    def __init__(self, capacity: int = 4096) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
         self._buffer: deque[TraceEvent] = deque(maxlen=capacity)
         self.events_seen = 0
         self.events_dropped = 0
-        self.metrics = metrics
 
     def emit(self, event: TraceEvent) -> None:
         if len(self._buffer) == self.capacity:
             self.events_dropped += 1
-            if self.metrics is not None:
-                self.metrics.counter("obs_events_dropped").inc()
         self._buffer.append(event)
         self.events_seen += 1
 
@@ -156,21 +148,6 @@ class JsonlSink(TraceSink):
                 self._stream.close()
                 self._stream = None
         self._closed = True
-
-
-class CompositeSink(TraceSink):
-    """Fans each event out to every child sink, in order."""
-
-    def __init__(self, *sinks: TraceSink) -> None:
-        self.sinks = list(sinks)
-
-    def emit(self, event: TraceEvent) -> None:
-        for sink in self.sinks:
-            sink.emit(event)
-
-    def close(self) -> None:
-        for sink in self.sinks:
-            sink.close()
 
 
 class TornTailError(ReproError):

@@ -230,16 +230,6 @@ class TestGlobalCache:
         assert len(calls) == 2
         assert len(get_cache()) == 0
 
-    def test_disabled_bypasses(self):
-        configure_cache(enabled=False)
-        calls = []
-        for _ in range(2):
-            cached("t", ("x",), lambda: calls.append(1))
-        assert len(calls) == 2
-        configure_cache(enabled=True)
-        cached("t", ("x",), lambda: calls.append(1))
-        assert len(calls) == 3  # first enabled call still builds
-
     def test_configure_replaces_instance(self):
         before = get_cache()
         after = configure_cache(maxsize=7)
@@ -273,13 +263,10 @@ class TestGraphCacheKeys:
 class TestRadiiCaching:
     def test_min_radius_memoized_and_unchanged(self):
         graph = path_graph(30)
-        uncached_value = None
-        configure_cache(enabled=False)
-        uncached_value = radii.min_radius(graph, 5)
-        configure_cache(enabled=True)
-        assert radii.min_radius(graph, 5) == uncached_value
+        get_cache().clear()
+        fresh_value = radii.min_radius(graph, 5)
         hits_before = get_cache().stats.hits
-        assert radii.min_radius(graph, 5) == uncached_value
+        assert radii.min_radius(graph, 5) == fresh_value
         assert get_cache().stats.hits == hits_before + 1
 
     def test_sampled_extrema_not_memoized(self):

@@ -37,18 +37,17 @@ class TestCli:
         with redirect_stdout(buffer):
             code = main(
                 ["--quick", "--trace-out", str(trace_path), "--metrics",
-                 "--progress", "--profile"]
+                 "--progress"]
             )
         output = buffer.getvalue()
         assert code == 0
         assert trace_path.exists()
         assert "== Metrics ==" in output
-        assert "== Phase timings ==" in output
         assert "[1/" in output  # progress lines
         import json
 
         metrics = json.loads(
-            output.split("== Metrics ==")[1].split("== Phase timings ==")[0]
+            output.split("== Metrics ==")[1].split("== Table 1")[0]
         )
         assert metrics["runs"] > 10
         assert metrics["faults"] > 0
@@ -163,20 +162,16 @@ class TestFlagValues:
 
 
 class TestOneCellRunner:
-    """``--cells`` runs serially (so ``--profile`` can time it) and
-    ``--jobs N`` runs a campaign on a throw-away journal."""
+    """``--cells`` runs serially, in sweep order, and ``--jobs N`` runs a
+    campaign on a throw-away journal."""
 
-    def test_cells_with_profile_times_exactly_those_cells(self, capsys):
-        code = main(["--quick", "--cells", "grid1d,example2", "--profile"])
+    def test_cells_with_progress_runs_exactly_those_cells(self, capsys):
+        code = main(["--quick", "--cells", "grid1d,example2", "--progress"])
         out = capsys.readouterr().out
         assert code == 0
-        timings = json.loads(
-            out.split("== Phase timings ==")[1].split("== Table 1")[0]
-        )
-        assert [phase["phase"] for phase in timings["phases"]] == [
-            "table1.grid1d",
-            "table1.example2",
-        ]
+        progress = [line.split()[:2] for line in out.splitlines()
+                    if line.startswith("[")]
+        assert progress == [["[1/2]", "grid1d"], ["[2/2]", "example2"]]
 
     @pytest.fixture
     def tempdir(self, tmp_path, monkeypatch):

@@ -1,4 +1,4 @@
-"""reprolint: the engine, the rule pack, the baseline, and the CLI."""
+"""reprolint: the engine, the rule pack, and the CLI."""
 
 import io
 import json
@@ -8,14 +8,12 @@ from pathlib import Path
 import pytest
 
 from repro.lint import (
-    Baseline,
     LintConfig,
     LintEngine,
     Severity,
     all_rules,
     load_config,
 )
-from repro.lint.baseline import BaselineError
 from repro.lint.cli import main
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
@@ -165,56 +163,6 @@ class TestSuppression:
         findings = _engine().lint_source("src/repro/core/fixture.py", source)
         assert [f.rule for f in findings] == ["RL003"]
 
-    def test_skip_file(self):
-        source = "# lint: skip-file\nimport random\nrandom.seed(1)\n"
-        findings = _engine().lint_source("src/repro/core/fixture.py", source)
-        assert findings == []
-
-
-class TestBaseline:
-    def _findings(self):
-        source = (FIXTURES / "bad_rl003.py").read_text()
-        return _engine().lint_source("src/repro/paging/fixture.py", source)
-
-    def test_round_trip_hides_old_flags_new(self, tmp_path):
-        findings = self._findings()
-        assert findings
-        baseline = Baseline.from_findings(findings)
-        path = tmp_path / "lint_baseline.json"
-        baseline.dump(path)
-        reloaded = Baseline.load(path)
-
-        new, hidden = reloaded.filter(findings)
-        assert new == [] and hidden == len(findings)
-
-        extra = _engine().lint_source(
-            "src/repro/paging/other.py",
-            "def g(s: set) -> list:\n    return list(s)\n",
-        )
-        new, hidden = reloaded.filter(findings + extra)
-        assert new == extra and hidden == len(findings)
-
-    def test_fingerprints_are_line_insensitive(self):
-        findings = self._findings()
-        baseline = Baseline.from_findings(findings)
-        shifted = (
-            "\n\n# shifted down by a comment block\n\n"
-            + (FIXTURES / "bad_rl003.py").read_text()
-        )
-        moved = _engine().lint_source("src/repro/paging/fixture.py", shifted)
-        new, hidden = baseline.filter(moved)
-        assert new == [] and hidden == len(findings)
-
-    def test_stale_entries_reported(self):
-        findings = self._findings()
-        baseline = Baseline.from_findings(findings)
-        assert baseline.stale_entries(findings) == []
-        assert baseline.stale_entries([]) == sorted(baseline.entries)
-
-    def test_missing_baseline_is_an_error(self, tmp_path):
-        with pytest.raises(BaselineError):
-            Baseline.load(tmp_path / "nope.json")
-
 
 def _make_tree(tmp_path: Path, *fixtures: str) -> Path:
     """A throwaway project tree with bad fixtures inside src/repro."""
@@ -227,9 +175,9 @@ def _make_tree(tmp_path: Path, *fixtures: str) -> Path:
 
 
 class TestCli:
-    def test_clean_repo_passes_with_baseline(self):
+    def test_clean_repo_passes(self):
         out = io.StringIO()
-        assert main(["--root", str(REPO), "--baseline"], out=out) == 0
+        assert main(["--root", str(REPO)], out=out) == 0
 
     def test_bad_fixture_in_src_repro_fails(self, tmp_path):
         root = _make_tree(tmp_path, "bad_rl001", "bad_rl006")
@@ -280,18 +228,6 @@ class TestCli:
     def test_unknown_rule_id_is_usage_error(self, tmp_path):
         root = _make_tree(tmp_path, "good_rl001")
         assert main(["--root", str(root), "--select", "RL999"]) == 2
-
-    def test_write_then_check_baseline(self, tmp_path):
-        root = _make_tree(tmp_path, "bad_rl003")
-        out = io.StringIO()
-        assert main(["--root", str(root), "--write-baseline"], out=out) == 0
-        assert (root / "lint_baseline.json").exists()
-        assert main(["--root", str(root), "--baseline"], out=out) == 0
-
-        shutil.copy(
-            FIXTURES / "bad_rl006.py", root / "src" / "repro" / "late.py"
-        )
-        assert main(["--root", str(root), "--baseline"], out=out) == 1
 
     def test_stats_output(self, tmp_path):
         root = _make_tree(tmp_path, "bad_rl001")

@@ -164,10 +164,10 @@ class TestBallVolumes:
 
 
 @contextlib.contextmanager
-def construction_cache(enabled: bool):
-    """A fresh global construction cache, on or off, for one block."""
+def construction_cache():
+    """A fresh global construction cache for one block."""
     old = cache_module._config
-    cache_module._config = cache_module._CacheConfig(enabled=enabled)
+    cache_module._config = cache_module._CacheConfig()
     try:
         yield cache_module._config.cache
     finally:
@@ -206,7 +206,8 @@ def reference_extrema(graph, k, sample=None, seed=0):
 class TestOneNeighborhoodTable:
     """The k-radii and the compact-neighborhood blocks read one cached
     table of neighborhoods, and equal what one BFS per vertex gives,
-    with the cache on or off, exact or sampled, in either call order."""
+    on a graph with or without a cache key, exact or sampled, in
+    either call order."""
 
     @settings(max_examples=300, deadline=None)
     @given(graph=small_graphs(), data=st.data())
@@ -220,7 +221,6 @@ class TestOneNeighborhoodTable:
                                           min_size=1, unique=True)),
             label="centers",
         )
-        enabled = data.draw(st.booleans(), label="cache on")
         blocks_first = data.draw(st.booleans(), label="blocks first")
 
         extrema = reference_extrema(graph, k, sample, seed)
@@ -248,12 +248,12 @@ class TestOneNeighborhoodTable:
         checks = [check_radii, check_blocks]
         if blocks_first:
             checks.reverse()
-        with construction_cache(enabled) as cache:
+        with construction_cache() as cache:
             for _ in range(2):  # the second round reads what the first cached
                 for check in checks:
                     check()
             key = (graph.cache_key(), k)
-            cacheable = enabled and graph.cache_key() is not None
+            cacheable = graph.cache_key() is not None
             assert (("radii.neighborhoods", key) in cache) == cacheable
             assert (("radii.extrema", key) in cache) == (cacheable and sample is None)
 
@@ -269,7 +269,7 @@ class TestOneNeighborhoodTable:
 
         monkeypatch.setattr(radii_module, "compact_neighborhood", counting)
         monkeypatch.setattr(neighborhood_blocking, "compact_neighborhood", counting)
-        with construction_cache(True):
+        with construction_cache():
             general_rows(num_steps=200)
         assert len(calls) == 2 * 512  # k = B and k = M, 512 vertices each
         assert set(calls.values()) == {1}

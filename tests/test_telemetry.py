@@ -700,8 +700,6 @@ class TestOpsReport:
             == 0
         )
         assert json.loads(out.read_text()) == doc
-        with pytest.raises(SystemExit):  # --html is markdown-plus-island
-            main([str(manifest), "--html", "--format", "json"])
 
     def test_report_embeds_forensics(self, tmp_path):
         """A report loaded with a trace renders the forensics sections
