@@ -28,12 +28,15 @@ and the plan's identifier fields are converted back on load
 int/str/tuple identifiers every substrate in this repository uses. A
 wire object that no event could have written (a JSON object inside an
 identifier, a ``blocks`` or ``block_ids`` that is neither null nor an
-array, a ``trace`` that is not an object) is refused on load.
+array, a ``trace`` that is not an object, a scalar field holding a
+value of another type than its annotation's) is refused on load.
 """
 
 from __future__ import annotations
 
 import json
+import types
+import typing
 from dataclasses import MISSING, dataclass, fields
 from typing import Any, Callable, ClassVar, Mapping
 
@@ -135,6 +138,30 @@ _CONVERTERS: dict[str, Callable[[Any], Any]] = {
     "trace": _mapping,
 }
 
+#: The exact decoded JSON types each scalar annotation takes. JSON
+#: tells ``true`` from ``1``, so a ``bool`` is no ``int`` here; a
+#: ``float`` field takes an integral number too.
+_SCALAR_TYPES: dict[Any, tuple[type, ...]] = {
+    int: (int,),
+    float: (int, float),
+    str: (str,),
+    bool: (bool,),
+    types.NoneType: (types.NoneType,),
+}
+
+
+def _scalar_types(hint: Any) -> tuple[type, ...] | None:
+    """The decoded types a field annotated ``hint`` takes, or ``None``
+    when ``hint`` is not a scalar type or a union of them."""
+    union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+    accepted: list[type] = []
+    for arm in typing.get_args(hint) if union else (hint,):
+        if arm not in _SCALAR_TYPES:
+            return None
+        accepted += _SCALAR_TYPES[arm]
+    return tuple(dict.fromkeys(accepted))
+
+
 #: The default of a field that has none: its absence is an error.
 _REQUIRED: Any = object()
 
@@ -148,22 +175,31 @@ class WirePlan:
     dict values pass through :func:`jsonable`, whose ``str(key)`` rule
     differs from JSON's own for bool, None, and tuple keys. Each line is
     therefore exactly the ``jsonable`` rendering of the event. Decoding
-    walks the same fields: identifier fields are retupled, absent
-    defaulted fields take their default, extra keys are ignored, and a
-    value no event could hold is refused.
+    walks the same fields: identifier fields are retupled, a scalar
+    field must hold a type its annotation admits, absent defaulted
+    fields take their default, extra keys are ignored, and a value no
+    event could hold is refused. The ``run`` id is left to the event
+    fold (:func:`repro.obs.replay.fold_runs`), which names the run.
     """
 
-    __slots__ = ("cls", "kind", "names", "specs")
+    __slots__ = ("cls", "kind", "names", "specs", "hints")
 
     def __init__(self, cls: type[TraceEvent]) -> None:
         self.cls = cls
         self.kind = cls.kind
         self.names = tuple(f.name for f in fields(cls))  # declaration order
-        #: ``(name, converter or None, default or _REQUIRED)``.
+        #: Each field's annotation, named in a type error.
+        self.hints = {f.name: str(f.type) for f in fields(cls)}
+        resolved = typing.get_type_hints(cls)
+        #: ``(name, converter or None, scalar types or None, default or
+        #: _REQUIRED)``; a field with neither is taken as decoded.
         self.specs = tuple(
             (
                 f.name,
                 _CONVERTERS.get(f.name),
+                None
+                if f.name in _CONVERTERS or f.name == "run"
+                else _scalar_types(resolved[f.name]),
                 _REQUIRED if f.default is MISSING else f.default,
             )
             for f in fields(cls)
@@ -191,14 +227,20 @@ class WirePlan:
         fill = event.__dict__
         get = payload.get
         try:
-            for name, convert, default in self.specs:
+            for name, convert, scalars, default in self.specs:
                 value = get(name, default)
                 if value is _REQUIRED:
                     raise ReproError(
                         f"{self.kind} event missing field {name!r}: {payload}"
                     )
-                fill[name] = value if convert is None else convert(value)
-        except ValueError as exc:  # a converter refused the value
+                if convert is not None:
+                    value = convert(value)
+                elif scalars is not None and type(value) not in scalars:
+                    raise ValueError(
+                        f"is not {self.hints[name]}: {_ENCODER.encode(value)}"
+                    )
+                fill[name] = value
+        except ValueError as exc:  # a converter or a type check refused the value
             raise ReproError(f"{self.kind} event field {name!r} {exc}") from None
         return event
 

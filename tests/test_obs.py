@@ -255,20 +255,20 @@ def sink_line(event) -> str:
 def event_strategy(identifiers, values, mapping):
     """Events of every kind in ``EVENT_TYPES``: identifier fields drawn
     from ``identifiers``, ``RunEndEvent.trace`` from ``mapping``, and
-    every other field from ``values``."""
+    every other field from ``values(field)``."""
 
     def build(cls):
-        def field_values(name):
-            if name == "trace":
+        def field_values(field):
+            if field.name == "trace":
                 return mapping
-            if name in ("blocks", "block_ids"):
+            if field.name in ("blocks", "block_ids"):
                 return st.none() | st.lists(identifiers, max_size=3).map(tuple)
-            if name in ("vertex", "block_id", "failed_block"):
+            if field.name in ("vertex", "block_id", "failed_block"):
                 return identifiers
-            return values
+            return values(field)
 
         return st.fixed_dictionaries(
-            {f.name: field_values(f.name) for f in dataclasses.fields(cls)}
+            {f.name: field_values(f) for f in dataclasses.fields(cls)}
         ).map(lambda kwargs: cls(**kwargs))
 
     return st.sampled_from(sorted(EVENT_TYPES)).map(EVENT_TYPES.get).flatmap(build)
@@ -312,7 +312,7 @@ class TestWireCodec:
         )
         mapping = st.dictionaries(keys, values, max_size=5)
 
-        @given(event_strategy(values, values, mapping))
+        @given(event_strategy(values, lambda field: values, mapping))
         @settings(max_examples=300, deadline=None)
         def check(event):
             assert sink_line(event) == reference_line(event)
@@ -320,7 +320,8 @@ class TestWireCodec:
         check()
 
     def test_lines_round_trip_and_defaults_fill_in(self):
-        """With hashable int/str/tuple identifiers, decoding a sink line
+        """With hashable int/str/tuple identifiers and every scalar field
+        holding a type its annotation admits, decoding a sink line
         rebuilds the event exactly; dropping any defaulted field from
         the payload still parses, to that field's default."""
         identifiers = st.recursive(
@@ -328,16 +329,24 @@ class TestWireCodec:
             lambda inner: st.lists(inner, max_size=3).map(tuple),
             max_leaves=6,
         )
+        text = st.text(max_size=6)
+        scalars = {
+            "int": st.integers(),
+            "float | None": st.integers() | st.floats(allow_nan=False) | st.none(),
+            "str": text,
+            "str | None": text | st.none(),
+            "bool": st.booleans(),
+        }
         values = st.one_of(
-            st.integers(),
-            st.text(max_size=6),
-            st.booleans(),
-            st.none(),
+            st.integers(), text, st.booleans(), st.none(),
             st.floats(allow_nan=False),
         )
         mapping = st.dictionaries(st.text(max_size=4), values, max_size=4)
 
-        @given(event_strategy(identifiers, values, mapping), st.data())
+        @given(
+            event_strategy(identifiers, lambda field: scalars[field.type], mapping),
+            st.data(),
+        )
         @settings(max_examples=300, deadline=None)
         def check(event, data):
             payload = json.loads(sink_line(event))
@@ -1077,9 +1086,10 @@ class TestOrphanEvents:
 class TestMalformedFields:
     """A value no event could have written is a typed error: an
     identifier holding a JSON object, a ``blocks`` that is neither null
-    nor an array, or a ``trace`` that is not an object fails at its
-    ``path:line``, and a run id that is not an integer fails naming the
-    run. Every trace CLI prints one line and exits 2."""
+    nor an array, a ``trace`` that is not an object, or a scalar field
+    holding another type than its annotation's (a bool is no number)
+    fails at its ``path:line``, and a run id that is not an integer
+    fails naming the run. Every trace CLI prints one line and exits 2."""
 
     #: Each case: the kind of line changed, the fields it takes, whether
     #: the changed line is added after the trace instead of replacing
@@ -1100,6 +1110,18 @@ class TestMalformedFields:
         "string-run-id": (
             "run_start", {"run": "zero"}, True,
             "run_start for run 'zero': not an integer run id",
+        ),
+        "string-gap": (
+            "fault", {"gap": "x"}, False,
+            "fault event field 'gap' is not int: \"x\"",
+        ),
+        "string-size": (
+            "block_read", {"size": "big"}, False,
+            "block_read event field 'size' is not int: \"big\"",
+        ),
+        "bool-read-cost": (
+            "run_start", {"read_cost": True}, False,
+            "run_start event field 'read_cost' is not float | None: true",
         ),
     }
 
