@@ -192,14 +192,53 @@ def fold_trace(report: CampaignReport, path: str | Path) -> None:
     report.forensics = forensics_document([record for record, _ in folded.runs])
 
 
+#: The counters the Service section reads.
+_SERVICE_COUNTERS = (
+    "service_completed",
+    "service_errors",
+    "service_cache_hits",
+    "service_cache_misses",
+    "service_cache_coalesced",
+)
+
+
 def fold_metrics(report: CampaignReport, path: str | Path) -> None:
-    """Attach a merged metrics snapshot (``--metrics-out`` JSON)."""
+    """Attach a merged metrics snapshot (``--metrics-out`` JSON).
+
+    What the renderers read is checked here: a histogram's ``values``
+    map to integer counts and its ``mean`` is null or a number, and
+    each service counter is a number. A bool is no number.
+    """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ReportError(f"cannot read metrics snapshot {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ReportError(f"{path}: metrics snapshot is not an object")
+    numbers = (int, float)
+    for name, value in payload.items():
+        if not (isinstance(value, dict) and "count" in value and "values" in value):
+            continue  # not a histogram snapshot
+        counts = value["values"]
+        if not isinstance(counts, dict) or any(
+            type(count) is not int for count in counts.values()
+        ):
+            raise ReportError(
+                f"{path}: histogram {name!r}: values must map to integer "
+                f"counts, got {json.dumps(counts)}"
+            )
+        mean = value.get("mean")
+        if mean is not None and type(mean) not in numbers:
+            raise ReportError(
+                f"{path}: histogram {name!r}: mean is not a number: "
+                f"{json.dumps(mean)}"
+            )
+    for name in _SERVICE_COUNTERS:
+        if name in payload and type(payload[name]) not in numbers:
+            raise ReportError(
+                f"{path}: metric {name!r} is not a number: "
+                f"{json.dumps(payload[name])}"
+            )
     report.metrics = payload
 
 

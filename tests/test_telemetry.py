@@ -20,6 +20,7 @@ Three layers under test:
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -777,6 +778,46 @@ class TestOpsReport:
         assert report_cells(load_report(manifest=torn)) == report_cells(
             load_report(manifest=manifest)
         )
+
+    @pytest.mark.parametrize(
+        "snapshot, message",
+        [
+            pytest.param(
+                {"fault_gap": {"count": 2, "mean": 1.5, "values": {"1": "x", "2": 1}}},
+                "histogram 'fault_gap': values must map to integer counts",
+                id="string-histogram-count",
+            ),
+            pytest.param(
+                {"fault_gap": {"count": 2, "mean": "x", "values": {"1": 2}}},
+                "histogram 'fault_gap': mean is not a number",
+                id="string-histogram-mean",
+            ),
+            pytest.param(
+                {"service_completed": "many"},
+                "metric 'service_completed' is not a number",
+                id="string-service-counter",
+            ),
+            pytest.param(
+                {"service_errors": True},
+                "metric 'service_errors' is not a number",
+                id="bool-service-counter",
+            ),
+        ],
+    )
+    def test_malformed_metrics_snapshot_exits_2(
+        self, tmp_path, capsys, snapshot, message
+    ):
+        """A snapshot value the renderers cannot read fails typed,
+        naming the metric, instead of a traceback or a silent zero."""
+        from repro.obs.report import ReportError, load_report, main
+
+        path = tmp_path / "metrics.json"
+        path.write_text(json.dumps(snapshot))
+        with pytest.raises(ReportError, match=re.escape(message)):
+            load_report(metrics=path)
+        assert main(["--metrics", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
 
     def test_header_cells_are_keyed_by_position(self, tmp_path):
         """The report keys header cells by position, as ``load_manifest``
