@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import random
 import threading
 from dataclasses import dataclass
@@ -57,7 +58,11 @@ def zipf_sampler(
     rng: random.Random, num_ranks: int, s: float
 ) -> "_ZipfSampler":
     """A callable drawing ranks ``0..num_ranks-1`` with ``P(k) ∝
-    1/(k+1)^s`` from the given seeded RNG."""
+    1/(k+1)^s`` from the given seeded RNG.
+
+    Raises :class:`ServiceError` for a skew that is not finite, or
+    whose weights or their total do not fit a float.
+    """
     return _ZipfSampler(rng, num_ranks, s)
 
 
@@ -65,9 +70,19 @@ class _ZipfSampler:
     def __init__(self, rng: random.Random, num_ranks: int, s: float) -> None:
         if num_ranks < 1:
             raise ReproError(f"need >= 1 rank, got {num_ranks}")
+        if not math.isfinite(s):
+            raise ServiceError(f"need a finite Zipf skew, got {s}")
         self._rng = rng
-        weights = [1.0 / (k + 1) ** s for k in range(num_ranks)]
-        self._cumulative = list(itertools.accumulate(weights))
+        try:
+            weights = [1.0 / (k + 1) ** s for k in range(num_ranks)]
+            self._cumulative = list(itertools.accumulate(weights))
+            if not math.isfinite(self._cumulative[-1]):
+                raise OverflowError("the weights' total is not finite")
+        except (OverflowError, ZeroDivisionError):
+            raise ServiceError(
+                f"Zipf skew {s} over {num_ranks} ranks: the rank weights "
+                f"do not fit a float"
+            ) from None
 
     def __call__(self) -> int:
         point = self._rng.random() * self._cumulative[-1]

@@ -15,7 +15,9 @@ The acceptance criteria under test, straight from the issue:
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -511,6 +513,18 @@ class TestLoadgen:
         tail = sum(1 for draw in draws if draw == 15)
         assert head > tail
 
+    @pytest.mark.parametrize("skew", [0.0, 1.1, 3.0, -2.0, -100.0])
+    def test_zipf_sampler_draws_by_the_weight_formula(self, skew):
+        """Every skew the sampler takes draws the ranks of ``P(k) ∝
+        1/(k+1)^s``, bisected on the running total, as it always has."""
+        totals = list(itertools.accumulate(1.0 / (k + 1) ** skew for k in range(64)))
+        rng = random.Random(7)
+        expected = [
+            bisect.bisect_left(totals, rng.random() * totals[-1]) for _ in range(300)
+        ]
+        sample = zipf_sampler(random.Random(7), 64, skew)
+        assert [sample() for _ in range(300)] == expected
+
     def test_unknown_workload_is_typed(self):
         store = build_store(SMALL_STORE)
         with pytest.raises(ServiceError):
@@ -556,6 +570,21 @@ class TestBadConfiguration:
         with pytest.raises(ServiceError, match=message):
             generate_requests(spec, build_store(SMALL_STORE))
 
+    @pytest.mark.parametrize("skew, message", [
+        (math.nan, r"need a finite Zipf skew, got nan$"),
+        (math.inf, r"need a finite Zipf skew, got inf$"),
+        (-math.inf, r"need a finite Zipf skew, got -inf$"),
+        # A weight overflows, a weight's denominator underflows to zero,
+        # and every weight fits but their total does not.
+        (1100.0, r"Zipf skew 1100.0 over 64 ranks: the rank weights do not fit"),
+        (-1100.0, r"Zipf skew -1100.0 over 64 ranks: the rank weights do not fit"),
+        (-179.0, r"Zipf skew -179.0 over 64 ranks: the rank weights do not fit"),
+    ])
+    def test_zipf_skew_out_of_range(self, skew, message):
+        # NaN drew rank 0 every time; the others died untyped.
+        with pytest.raises(ServiceError, match=message):
+            zipf_sampler(random.Random(0), 64, skew)
+
     @pytest.mark.parametrize("argv, message", [
         (["--queue-bound", "0"], "need a queue bound >= 1, got 0"),
         (["--queue-bound", "-3"], "need a queue bound >= 1, got -3"),
@@ -565,6 +594,11 @@ class TestBadConfiguration:
         (["--read-cost", "-1"], "need a finite read_cost >= 0, got -1.0"),
         (["--read-cost", "nan"], "need a finite read_cost >= 0, got nan"),
         (["--read-cost", "inf"], "need a finite read_cost >= 0, got inf"),
+        (["--zipf", "nan"], "need a finite Zipf skew, got nan"),
+        (["--zipf", "1100"],
+         "Zipf skew 1100.0 over 64 ranks: the rank weights do not fit a float"),
+        (["--zipf", "-1100"],
+         "Zipf skew -1100.0 over 64 ranks: the rank weights do not fit a float"),
     ])
     def test_cli_exits_2_with_one_line(self, argv, message):
         done = subprocess.run(
