@@ -38,7 +38,7 @@ import os
 import pickle
 import tempfile
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Hashable
 
 
@@ -185,19 +185,13 @@ class ConstructionCache:
             pass  # an unspillable value is still served from memory
 
 
-@dataclass
-class _CacheConfig:
-    """Process-global cache configuration (see :func:`configure_cache`)."""
-
-    cache: ConstructionCache = field(default_factory=ConstructionCache)
-
-
-_config = _CacheConfig()
+#: The process-global cache (:func:`configure_cache` replaces it).
+_cache = ConstructionCache()
 
 
 def get_cache() -> ConstructionCache:
     """The process-global construction cache."""
-    return _config.cache
+    return _cache
 
 
 def configure_cache(
@@ -208,13 +202,13 @@ def configure_cache(
     Passing ``maxsize`` or ``disk_dir`` replaces the cache (dropping
     its entries).
     """
+    global _cache
     if maxsize is not None or disk_dir is not None:
-        current = _config.cache
-        _config.cache = ConstructionCache(
-            maxsize=maxsize if maxsize is not None else current.maxsize,
-            disk_dir=disk_dir if disk_dir is not None else current.disk_dir,
+        _cache = ConstructionCache(
+            maxsize=maxsize if maxsize is not None else _cache.maxsize,
+            disk_dir=disk_dir if disk_dir is not None else _cache.disk_dir,
         )
-    return _config.cache
+    return _cache
 
 
 def cached(kind: str, key: Hashable | None, builder: Callable[[], Any]) -> Any:
@@ -225,4 +219,4 @@ def cached(kind: str, key: Hashable | None, builder: Callable[[], Any]) -> Any:
     """
     if key is None:
         return builder()
-    return _config.cache.get_or_build(kind, key, builder)
+    return _cache.get_or_build(kind, key, builder)

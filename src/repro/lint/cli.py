@@ -1,7 +1,8 @@
 """``python -m repro.lint`` — the linter's command line.
 
-Exit codes: 0 clean, 1 findings, 2 usage or configuration error. ``--format json`` output is sorted and stable so
-CI diffs and the BENCH_lint rollup can consume it directly.
+Exit codes: 0 clean, 1 findings, 2 usage or configuration error.
+``--format json`` output is sorted and stable so CI diffs and the
+BENCH_lint rollup can consume it directly.
 """
 
 from __future__ import annotations

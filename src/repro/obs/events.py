@@ -182,14 +182,12 @@ class WirePlan:
     fold (:func:`repro.obs.replay.fold_runs`), which names the run.
     """
 
-    __slots__ = ("cls", "kind", "names", "specs", "hints")
+    __slots__ = ("cls", "kind", "names", "specs")
 
     def __init__(self, cls: type[TraceEvent]) -> None:
         self.cls = cls
         self.kind = cls.kind
         self.names = tuple(f.name for f in fields(cls))  # declaration order
-        #: Each field's annotation, named in a type error.
-        self.hints = {f.name: str(f.type) for f in fields(cls)}
         resolved = typing.get_type_hints(cls)
         #: ``(name, converter or None, scalar types or None, default or
         #: _REQUIRED)``; a field with neither is taken as decoded.
@@ -236,8 +234,9 @@ class WirePlan:
                 if convert is not None:
                     value = convert(value)
                 elif scalars is not None and type(value) not in scalars:
+                    annotation = cls.__dataclass_fields__[name].type
                     raise ValueError(
-                        f"is not {self.hints[name]}: {_ENCODER.encode(value)}"
+                        f"is not {annotation}: {_ENCODER.encode(value)}"
                     )
                 fill[name] = value
         except ValueError as exc:  # a converter or a type check refused the value

@@ -192,14 +192,14 @@ def fold_trace(report: CampaignReport, path: str | Path) -> None:
     report.forensics = forensics_document([record for record, _ in folded.runs])
 
 
-#: The counters the Service section reads.
-_SERVICE_COUNTERS = (
-    "service_completed",
-    "service_errors",
-    "service_cache_hits",
-    "service_cache_misses",
-    "service_cache_coalesced",
-)
+#: The counters the Service section reads, by their row in it.
+_SERVICE_COUNTERS = {
+    "completed": "service_completed",
+    "errored": "service_errors",
+    "hits": "service_cache_hits",
+    "misses": "service_cache_misses",
+    "coalesced": "service_cache_coalesced",
+}
 
 
 def fold_metrics(report: CampaignReport, path: str | Path) -> None:
@@ -233,7 +233,7 @@ def fold_metrics(report: CampaignReport, path: str | Path) -> None:
                 f"{path}: histogram {name!r}: mean is not a number: "
                 f"{json.dumps(mean)}"
             )
-    for name in _SERVICE_COUNTERS:
+    for name in _SERVICE_COUNTERS.values():
         if name in payload and type(payload[name]) not in numbers:
             raise ReportError(
                 f"{path}: metric {name!r} is not a number: "
@@ -457,11 +457,7 @@ def service_summary(metrics: Mapping[str, Any]) -> dict[str, Any] | None:
     hit_ratio = metrics.get("service_cache_hit_ratio")
     shed = metrics.get("service_shed")
     return {
-        "completed": _int("service_completed"),
-        "errored": _int("service_errors"),
-        "hits": _int("service_cache_hits"),
-        "misses": _int("service_cache_misses"),
-        "coalesced": _int("service_cache_coalesced"),
+        **{row: _int(name) for row, name in _SERVICE_COUNTERS.items()},
         "hit_ratio": (
             f"{hit_ratio:.4f}" if isinstance(hit_ratio, float) else "—"
         ),

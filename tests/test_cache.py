@@ -15,12 +15,9 @@ from repro.graphs import (
 
 
 @pytest.fixture(autouse=True)
-def fresh_cache():
-    """Isolate every test behind its own global cache configuration."""
-    old = cache_module._config
-    cache_module._config = cache_module._CacheConfig()
-    yield
-    cache_module._config = old
+def fresh_cache(monkeypatch):
+    """Isolate every test behind its own global cache."""
+    monkeypatch.setattr(cache_module, "_cache", ConstructionCache())
 
 
 class TestConstructionCache:

@@ -166,12 +166,12 @@ class TestBallVolumes:
 @contextlib.contextmanager
 def construction_cache():
     """A fresh global construction cache for one block."""
-    old = cache_module._config
-    cache_module._config = cache_module._CacheConfig()
+    old = cache_module._cache
+    cache_module._cache = cache_module.ConstructionCache()
     try:
-        yield cache_module._config.cache
+        yield cache_module._cache
     finally:
-        cache_module._config = old
+        cache_module._cache = old
 
 
 @st.composite
