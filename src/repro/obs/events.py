@@ -178,8 +178,10 @@ class WirePlan:
     walks the same fields: identifier fields are retupled, a scalar
     field must hold a type its annotation admits, absent defaulted
     fields take their default, extra keys are ignored, and a value no
-    event could hold is refused. The ``run`` id is left to the event
-    fold (:func:`repro.obs.replay.fold_runs`), which names the run.
+    event could hold is refused. An engine event's ``run`` id is left
+    to the event fold (:func:`repro.obs.replay.fold_runs`), which names
+    the run; a :class:`CampaignEvent` joins no run, so its ``run`` is
+    checked here.
     """
 
     __slots__ = ("cls", "kind", "names", "specs")
@@ -189,15 +191,16 @@ class WirePlan:
         self.kind = cls.kind
         self.names = tuple(f.name for f in fields(cls))  # declaration order
         resolved = typing.get_type_hints(cls)
+        unchecked = set(_CONVERTERS)
+        if not issubclass(cls, CampaignEvent):
+            unchecked.add("run")
         #: ``(name, converter or None, scalar types or None, default or
         #: _REQUIRED)``; a field with neither is taken as decoded.
         self.specs = tuple(
             (
                 f.name,
                 _CONVERTERS.get(f.name),
-                None
-                if f.name in _CONVERTERS or f.name == "run"
-                else _scalar_types(resolved[f.name]),
+                None if f.name in unchecked else _scalar_types(resolved[f.name]),
                 _REQUIRED if f.default is MISSING else f.default,
             )
             for f in fields(cls)

@@ -1149,6 +1149,25 @@ class TestMalformedFields:
             assert f"error: {where}{says}" in captured.err
             assert "Traceback" not in captured.err
 
+    def test_a_record_that_joins_no_run_has_an_integer_run(self, tmp_path, capsys):
+        """The fold checks an engine event's run id; a ``shard_merged``
+        joins no run, so the decoder checks its ``run`` (a string one
+        used to crash the ops report's sort)."""
+        lines = traced_walk(tmp_path).read_text(encoding="utf-8").splitlines()
+        shard = ShardMergedEvent(
+            run=0, cell="c", attempt=1, span="s/0/1", run_base=0, runs=1,
+            events=len(lines), dropped=0,
+        )
+        path = tmp_path / "malformed.jsonl"
+        header = json.dumps({**shard.to_dict(), "run": "x"})
+        path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+        says = f"{path}:1: shard_merged event field 'run' is not int: \"x\""
+        for main, argv in TRACE_CLIS:
+            assert main(argv(path)) == 2
+            captured = capsys.readouterr()
+            assert captured.err.count("\n") == 1
+            assert f"error: {says}" in captured.err
+
 
 class TestTraceClisRunOnce:
     def test_python_m_runs_without_a_runpy_warning(self, tmp_path):
