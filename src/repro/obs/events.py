@@ -184,27 +184,34 @@ class WirePlan:
     checked here.
     """
 
-    __slots__ = ("cls", "kind", "names", "specs")
+    __slots__ = ("cls", "kind", "names", "specs", "scalars")
 
     def __init__(self, cls: type[TraceEvent]) -> None:
         self.cls = cls
         self.kind = cls.kind
         self.names = tuple(f.name for f in fields(cls))  # declaration order
-        resolved = typing.get_type_hints(cls)
-        unchecked = set(_CONVERTERS)
-        if not issubclass(cls, CampaignEvent):
-            unchecked.add("run")
-        #: ``(name, converter or None, scalar types or None, default or
-        #: _REQUIRED)``; a field with neither is taken as decoded.
+        #: ``(name, converter or None, default or _REQUIRED)``.
         self.specs = tuple(
             (
                 f.name,
                 _CONVERTERS.get(f.name),
-                None if f.name in unchecked else _scalar_types(resolved[f.name]),
                 _REQUIRED if f.default is MISSING else f.default,
             )
             for f in fields(cls)
         )
+        resolved = typing.get_type_hints(cls)
+        unchecked = set(_CONVERTERS)
+        if not issubclass(cls, CampaignEvent):
+            unchecked.add("run")
+        scalars: list[tuple[str, tuple[type, ...]]] = []
+        for f in fields(cls):
+            accepted = None if f.name in unchecked else _scalar_types(resolved[f.name])
+            if accepted is not None:
+                scalars.append((f.name, accepted))
+        #: ``(name, decoded types)`` of each checked scalar field, checked
+        #: after the fill. A step event (half the lines of a quick-sweep
+        #: trace) has none, so it pays no check.
+        self.scalars = tuple(scalars)
 
     def encode(self, event: TraceEvent) -> str:
         """The event's wire line (no trailing newline)."""
@@ -228,20 +235,20 @@ class WirePlan:
         fill = event.__dict__
         get = payload.get
         try:
-            for name, convert, scalars, default in self.specs:
+            for name, convert, default in self.specs:
                 value = get(name, default)
                 if value is _REQUIRED:
                     raise ReproError(
                         f"{self.kind} event missing field {name!r}: {payload}"
                     )
-                if convert is not None:
-                    value = convert(value)
-                elif scalars is not None and type(value) not in scalars:
+                fill[name] = value if convert is None else convert(value)
+            for name, accepted in self.scalars:
+                value = fill[name]
+                if type(value) not in accepted:
                     annotation = cls.__dataclass_fields__[name].type
                     raise ValueError(
                         f"is not {annotation}: {_ENCODER.encode(value)}"
                     )
-                fill[name] = value
         except ValueError as exc:  # a converter or a type check refused the value
             raise ReproError(f"{self.kind} event field {name!r} {exc}") from None
         return event
