@@ -13,13 +13,18 @@ from __future__ import annotations
 from repro.adversaries._order import first_neighbor
 from repro.core.engine import Adversary, MemoryView
 from repro.graphs.base import Graph
-from repro.graphs.traversal import nearest_matching
+from repro.graphs.traversal import BreadthFirstSearch
 from repro.typing import Vertex
 
 
 class GreedyUncoveredAdversary(Adversary):
     """Walk a shortest path to the nearest uncovered vertex, replanning
     whenever a page fault changes the coverage.
+
+    The graph is fixed for a run, so one :class:`BreadthFirstSearch` per
+    replan source is kept until :meth:`reset`; a replan rescans its
+    discovery order against the current coverage and grows it only
+    when no kept vertex is uncovered.
 
     Args:
         graph: the searched graph.
@@ -37,10 +42,12 @@ class GreedyUncoveredAdversary(Adversary):
         self._max_radius = max_radius
         self._plan: list[Vertex] = []
         self._seen_faults = -1
+        self._searches: dict[Vertex, BreadthFirstSearch] = {}
 
     def reset(self) -> None:
         self._plan = []
         self._seen_faults = -1
+        self._searches = {}
 
     def start(self, view: MemoryView) -> Vertex:
         return self._start
@@ -52,9 +59,11 @@ class GreedyUncoveredAdversary(Adversary):
             self._plan = []
             self._seen_faults = view.fault_count
         if not self._plan:
-            path = nearest_matching(
-                self._graph, pathfront, view.uncovered, max_radius=self._max_radius
-            )
+            search = self._searches.get(pathfront)
+            if search is None:
+                search = BreadthFirstSearch(self._graph, pathfront)
+                self._searches[pathfront] = search
+            path = search.nearest(view.uncovered, self._max_radius)
             if path is None or len(path) < 2:
                 # Everything in reach is covered (or we stand on the
                 # only uncovered vertex): stall by pacing to the

@@ -19,9 +19,9 @@ from repro.core.engine import Adversary, MemoryView
 from repro.errors import AdversaryError
 from repro.graphs.base import FiniteGraph
 from repro.graphs.traversal import (
+    BreadthFirstSearch,
     bfs_spanning_tree,
     depth_first_circuit,
-    shortest_path,
 )
 from repro.typing import Vertex
 
@@ -67,7 +67,8 @@ class SteinerTourAdversary(Adversary):
     skeletal-tree numbering) currently uncovered; the walk takes a
     shortest path there. The numbering guarantees successive targets
     trace the augmented Steiner tree, whose total length is at most
-    ``8 r^+(B) ceil(n/B)`` per sweep.
+    ``8 r^+(B) ceil(n/B)`` per sweep. One :class:`BreadthFirstSearch`
+    per replan source is kept until :meth:`reset`.
     """
 
     def __init__(
@@ -88,6 +89,7 @@ class SteinerTourAdversary(Adversary):
         self._skeleton = skeleton
         self._plan: list[Vertex] = []
         self._seen_faults = -1
+        self._searches: dict[Vertex, BreadthFirstSearch] = {}
 
     @property
     def skeleton(self) -> SkeletalSteinerTree:
@@ -96,6 +98,7 @@ class SteinerTourAdversary(Adversary):
     def reset(self) -> None:
         self._plan = []
         self._seen_faults = -1
+        self._searches = {}
 
     def start(self, view: MemoryView) -> Vertex:
         return self._skeleton.order[0]
@@ -110,7 +113,11 @@ class SteinerTourAdversary(Adversary):
                 # Everything is covered: pace to the canonical first
                 # neighbor (deterministic tie-break).
                 return first_neighbor(self._graph, pathfront)
-            self._plan = shortest_path(self._graph, pathfront, target)[1:]
+            search = self._searches.get(pathfront)
+            if search is None:
+                search = BreadthFirstSearch(self._graph, pathfront)
+                self._searches[pathfront] = search
+            self._plan = search.path_to(target)[1:]
         return self._plan.pop(0)
 
     def _next_must_visit(self, view: MemoryView) -> Vertex | None:

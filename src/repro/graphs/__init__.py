@@ -20,8 +20,9 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     ),
     "repro.graphs.grid": ("GridGraph", "InfiniteGridGraph", "l1_distance"),
     "repro.graphs.traversal": (
-        "bfs_distances", "bfs_spanning_tree", "depth_first_circuit", "eccentricity",
-        "is_connected", "nearest_matching", "shortest_path",
+        "BreadthFirstSearch", "bfs_distances", "bfs_spanning_tree",
+        "depth_first_circuit", "eccentricity", "is_connected", "nearest_matching",
+        "shortest_path",
     ),
     "repro.graphs.tree": ("CompleteTree", "tree_size"),
 }
@@ -59,6 +60,7 @@ if TYPE_CHECKING:
         l1_distance as l1_distance,
     )
     from repro.graphs.traversal import (
+        BreadthFirstSearch as BreadthFirstSearch,
         bfs_distances as bfs_distances,
         bfs_spanning_tree as bfs_spanning_tree,
         depth_first_circuit as depth_first_circuit,

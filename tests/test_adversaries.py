@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import (
+    Adversary,
     AdversaryError,
     FirstBlockPolicy,
     MemoryView,
@@ -27,7 +28,7 @@ from repro.adversaries import (
     SteinerTourAdversary,
     UniformCornerAdversary,
 )
-from repro.adversaries._order import canonical_neighbors
+from repro.adversaries._order import canonical_neighbors, first_neighbor
 from repro.analysis import theory
 from repro.blockings import (
     FarthestFaultPolicy,
@@ -52,8 +53,10 @@ from repro.graphs import (
     InfiniteGridGraph,
     complete_graph,
     cycle_graph,
+    nearest_matching,
     path_graph,
     random_regular_graph,
+    shortest_path,
     star_graph,
     torus_graph,
 )
@@ -533,6 +536,144 @@ class TestTours:
         adv = CycleAdversary([0, 1, 2, 0])
         assert adv.start(None) == 0
         assert adv.step(0, None) == 1
+
+
+class _FreshSearchGreedy(Adversary):
+    """The greedy adversary with a fresh ``nearest_matching`` per replan."""
+
+    def __init__(self, graph, start, max_radius=None):
+        self.graph, self.first, self.max_radius = graph, start, max_radius
+        self.reset()
+
+    def reset(self):
+        self.plan, self.seen_faults = [], -1
+
+    def start(self, view):
+        return self.first
+
+    def step(self, pathfront, view):
+        if view.fault_count != self.seen_faults:
+            self.plan, self.seen_faults = [], view.fault_count
+        if not self.plan:
+            path = nearest_matching(
+                self.graph, pathfront, view.uncovered, self.max_radius
+            )
+            if path is None or len(path) < 2:
+                return first_neighbor(self.graph, pathfront)
+            self.plan = path[1:]
+        return self.plan.pop(0)
+
+
+class _FreshSearchTour(Adversary):
+    """The Steiner-tour adversary with a fresh ``shortest_path`` per
+    replan."""
+
+    def __init__(self, graph, skeleton):
+        self.graph, self.skeleton = graph, skeleton
+        self.reset()
+
+    def reset(self):
+        self.plan, self.seen_faults = [], -1
+
+    def start(self, view):
+        return self.skeleton.order[0]
+
+    def step(self, pathfront, view):
+        if view.fault_count != self.seen_faults:
+            self.plan, self.seen_faults = [], view.fault_count
+        if not self.plan:
+            target = next(
+                (v for v in self.skeleton.order if not view.covers(v)), None
+            )
+            if target is None or target == pathfront:
+                return first_neighbor(self.graph, pathfront)
+            self.plan = shortest_path(self.graph, pathfront, target)[1:]
+        return self.plan.pop(0)
+
+
+class _CountingTree(CompleteTree):
+    def __init__(self, arity, height):
+        super().__init__(arity, height)
+        self.neighbor_calls = 0
+
+    def neighbors(self, vertex):
+        self.neighbor_calls += 1
+        return super().neighbors(vertex)
+
+
+def _played(game, adversary, steps):
+    """The walk, fault gaps and block reads of one adversary game."""
+    graph, blocking, policy, params = game
+    walk = []
+    step = adversary.step
+
+    def recorded(pathfront, view):
+        walk.append(step(pathfront, view))
+        return walk[-1]
+
+    adversary.step = recorded
+    try:
+        trace = simulate_adversary(graph, blocking, policy, params, adversary, steps)
+    finally:
+        del adversary.step
+    return walk, trace.fault_gaps, trace.block_reads
+
+
+class TestKeptSearches:
+    """Both adversaries keep one search per replan source for a run and
+    walk exactly as with a fresh search per replan."""
+
+    def _tree_game(self):
+        tree = _CountingTree(2, 9)
+        blocking = overlapped_tree_blocking(tree, 15)
+        return tree, blocking, MostInteriorPolicy(), ModelParams(15, 30)
+
+    def test_greedy_on_a_tree_walks_as_fresh_searches_do(self):
+        game = self._tree_game()
+        tree = game[0]
+        fresh = _played(game, _FreshSearchGreedy(tree, tree.root), 1_500)
+        fresh_calls, tree.neighbor_calls = tree.neighbor_calls, 0
+        kept = _played(game, GreedyUncoveredAdversary(tree, tree.root), 1_500)
+        assert kept == fresh
+        assert tree.neighbor_calls < fresh_calls
+
+    def test_greedy_drops_its_searches_on_reset(self):
+        """Each run pays for its own searches: a search kept across
+        ``reset()`` would make the second run's neighbor calls fewer."""
+        game = self._tree_game()
+        tree = game[0]
+        adversary = GreedyUncoveredAdversary(tree, tree.root)
+        first = _played(game, adversary, 800)
+        calls, tree.neighbor_calls = tree.neighbor_calls, 0
+        assert _played(game, adversary, 800) == first
+        assert tree.neighbor_calls == calls
+
+    def test_greedy_with_a_radius_on_the_infinite_grid(self):
+        graph = InfiniteGridGraph(2)
+        game = (
+            graph,
+            offset_grid_blocking(2, 16),
+            FarthestFaultPolicy(graph),
+            ModelParams(16, 32),
+        )
+        fresh = _played(game, _FreshSearchGreedy(graph, (0, 0), 12), 1_000)
+        kept = _played(game, GreedyUncoveredAdversary(graph, (0, 0), 12), 1_000)
+        assert kept == fresh
+
+    def test_greedy_and_tour_on_a_random_regular_graph(self):
+        from repro.analysis import max_radius
+
+        graph = random_regular_graph(64, 4, seed=3)
+        blocking, policy = lemma13_blocking(graph, 8)
+        game = (graph, blocking, policy, ModelParams(8, 16))
+        assert _played(game, GreedyUncoveredAdversary(graph, 0), 1_000) == _played(
+            game, _FreshSearchGreedy(graph, 0), 1_000
+        )
+        tour = SteinerTourAdversary(
+            graph, packing_radius=max(int(max_radius(graph, 8)), 1)
+        )
+        fresh = _FreshSearchTour(graph, tour.skeleton)
+        assert _played(game, tour, 1_000) == _played(game, fresh, 1_000)
 
 
 class _FixedNeighbors(Graph):
