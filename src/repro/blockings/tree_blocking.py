@@ -19,7 +19,7 @@ from itertools import chain
 
 from repro.blockings.union import UnionBlocking
 from repro.core.blocking import ImplicitBlocking
-from repro.errors import BlockingError
+from repro.errors import BlockingError, GraphError
 from repro.graphs.tree import CompleteTree
 from repro.typing import BlockId, Vertex
 
@@ -65,6 +65,7 @@ class TreeStrataBlocking(ImplicitBlocking):
             )
         super().__init__(block_size, blowup=1.0)
         self._tree = tree
+        self._arity = tree.arity
         self._levels = levels
         self._offset = offset
 
@@ -95,17 +96,20 @@ class TreeStrataBlocking(ImplicitBlocking):
     def _root_depth(self, block_id: BlockId) -> int:
         """The depth of the stratum root ``block_id``; raises
         :class:`BlockingError` for anything else."""
-        tree = self._tree
-        if not tree.has_vertex(block_id):
-            raise BlockingError(f"unknown block root {block_id!r}")
-        start = tree.depth(block_id)
+        try:
+            start = self._tree.depth(block_id)
+        except GraphError:
+            raise BlockingError(f"unknown block root {block_id!r}") from None
         if start != self._stratum_start(start):
             raise BlockingError(f"{block_id!r} is not a stratum root")
         return start
 
     def blocks_for(self, vertex: Vertex) -> tuple[BlockId, ...]:
+        """The stratum root above ``vertex``: its ancestor ``n`` levels
+        up is ``(v - start(n)) // d^n`` (:mod:`repro.graphs.tree`)."""
         depth = self._tree.depth(vertex)
-        return (self._tree.ancestor(vertex, depth - self._stratum_start(depth)),)
+        span = self._arity ** (depth - self._stratum_start(depth))
+        return ((vertex - (span - 1) // (self._arity - 1)) // span,)
 
     def _materialize(self, block_id: BlockId) -> frozenset[int]:
         """The block's levels as index runs (the level-range identity of
@@ -137,7 +141,8 @@ class TreeStrataBlocking(ImplicitBlocking):
         bottom = start + self._block_levels(start) - 1
         if not start <= depth <= bottom:
             return 0.0
-        if tree.ancestor(vertex, depth - start) != block_id:
+        span = self._arity ** (depth - start)
+        if (vertex - (span - 1) // (self._arity - 1)) // span != block_id:
             return 0.0
         up = float("inf") if start == 0 else (depth - start) + 1
         down = float("inf") if bottom >= tree.height else (bottom - depth) + 1

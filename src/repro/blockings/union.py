@@ -23,7 +23,8 @@ class UnionBlocking(Blocking):
     """The union of several blockings of the same graph.
 
     Block ids are ``(copy_index, inner_id)``. All copies must share
-    one block size.
+    one block size. Each block re-wrapped under its union id is built
+    once and kept, as the copies keep theirs.
     """
 
     def __init__(self, copies: Sequence[Blocking]) -> None:
@@ -34,6 +35,10 @@ class UnionBlocking(Blocking):
             raise BlockingError(f"mismatched block sizes in union: {sorted(sizes)}")
         self._copies = list(copies)
         self._block_size = sizes.pop()
+        self._distances = [
+            getattr(copy, "interior_distance", None) for copy in self._copies
+        ]
+        self._blocks: dict[BlockId, Block] = {}
 
     @property
     def block_size(self) -> int:
@@ -50,10 +55,17 @@ class UnionBlocking(Blocking):
         return tuple(result)
 
     def block(self, block_id: BlockId) -> Block:
-        index, inner = self._unpack(block_id)
-        inner_block = self._copies[index].block(inner)
-        # Re-wrap so the block's id matches the union's namespace.
-        return make_block(block_id, inner_block.vertices, self._block_size)
+        try:
+            built = self._blocks.get(block_id)
+        except TypeError:  # unhashable: _unpack names the bad id
+            built = None
+        if built is None:
+            index, inner = self._unpack(block_id)
+            inner_block = self._copies[index].block(inner)
+            # Re-wrap so the block's id matches the union's namespace.
+            built = make_block(block_id, inner_block.vertices, self._block_size)
+            self._blocks[block_id] = built
+        return built
 
     def members(self, block_id: BlockId) -> Members:
         index, inner = self._unpack(block_id)
@@ -67,8 +79,7 @@ class UnionBlocking(Blocking):
         :class:`repro.blockings.policies.MostInteriorPolicy`); requires
         every copy to expose ``interior_distance``."""
         index, inner = self._unpack(block_id)
-        copy = self._copies[index]
-        distance = getattr(copy, "interior_distance", None)
+        distance = self._distances[index]
         if distance is None:
             raise BlockingError(
                 f"blocking copy {index} does not expose interior_distance"

@@ -95,7 +95,10 @@ class CompleteTree(FiniteGraph):
     def children(self, vertex: int) -> list[int]:
         """The children of ``vertex`` (empty for leaves)."""
         self._check(vertex)
-        return self._children(vertex)
+        if vertex >= self._first_leaf:
+            return []
+        first = self._arity * vertex + 1
+        return list(range(first, first + self._arity))
 
     def is_leaf(self, vertex: int) -> bool:
         self._check(vertex)
@@ -104,7 +107,8 @@ class CompleteTree(FiniteGraph):
     def depth(self, vertex: int) -> int:
         """Distance from the root to ``vertex``: the exact integer
         ``floor(log_d((d - 1) v + 1))``."""
-        self._check(vertex)
+        if not self.has_vertex(vertex):
+            raise GraphError(f"vertex {vertex!r} is not in the tree")
         x = (self._arity - 1) * vertex + 1
         if self._log2_arity:
             return (x.bit_length() - 1) // self._log2_arity
@@ -168,8 +172,6 @@ class CompleteTree(FiniteGraph):
 
     def distance(self, u: int, v: int) -> int:
         """Tree distance between two vertices (via their LCA)."""
-        self._check(u)
-        self._check(v)
         du, dv = self.depth(u), self.depth(v)
         dist = 0
         while du > dv:
@@ -189,10 +191,17 @@ class CompleteTree(FiniteGraph):
     # -- Graph interface -----------------------------------------------------
 
     def neighbors(self, vertex: Vertex) -> list[int]:
-        self._check(vertex)
-        nbrs = self._children(vertex)
+        """The children (left to right), then the parent."""
+        if not self.has_vertex(vertex):
+            raise GraphError(f"vertex {vertex!r} is not in the tree")
+        arity = self._arity
+        if vertex >= self._first_leaf:
+            nbrs = []
+        else:
+            first = arity * vertex + 1
+            nbrs = list(range(first, first + arity))
         if vertex != 0:
-            nbrs.append((vertex - 1) // self._arity)
+            nbrs.append((vertex - 1) // arity)
         return nbrs
 
     def has_vertex(self, vertex: Vertex) -> bool:
@@ -221,13 +230,6 @@ class CompleteTree(FiniteGraph):
     def _check(self, vertex: Vertex) -> None:
         if not self.has_vertex(vertex):
             raise GraphError(f"vertex {vertex!r} is not in the tree")
-
-    def _children(self, vertex: int) -> list[int]:
-        """``children`` of a vertex already checked."""
-        if vertex >= self._first_leaf:
-            return []
-        first = self._arity * vertex + 1
-        return list(range(first, first + self._arity))
 
     def _level_start(self, depth: int) -> int:
         """``start(depth)``: the index of the first vertex at ``depth``."""

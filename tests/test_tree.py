@@ -250,7 +250,7 @@ class _CountingTree(CompleteTree):
 
 class TestOneValidationPerCall:
     @pytest.mark.parametrize("vertex", [0, 1, 14, 15, 30])
-    @pytest.mark.parametrize("method", ["neighbors", "children", "is_leaf"])
+    @pytest.mark.parametrize("method", ["neighbors", "children", "is_leaf", "depth"])
     def test_validates_once(self, method, vertex):
         tree = _CountingTree(2, 4)
         getattr(tree, method)(vertex)
@@ -268,6 +268,8 @@ class TestOneValidationPerCall:
             lambda tree, v: tree.ancestor(v, 0),
             lambda tree, v: tree.ancestor_at_depth(v, 0),
             lambda tree, v: tree.level_range(v, 0),
+            lambda tree, v: tree.distance(v, 0),
+            lambda tree, v: tree.distance(0, v),
         ],
         ids=[
             "neighbors",
@@ -278,6 +280,8 @@ class TestOneValidationPerCall:
             "ancestor",
             "ancestor_at_depth",
             "level_range",
+            "distance-from",
+            "distance-to",
         ],
     )
     def test_checks_still_fire(self, call, bad):

@@ -54,6 +54,22 @@ class TestUnionBlocking:
         with pytest.raises(BlockingError):
             union.block((5, "x"))
 
+    def test_repeat_read_returns_the_same_block(self):
+        union = UnionBlocking([copy_a(), copy_b()])
+        first = union.block((1, "x"))
+        assert union.block((1, "x")) is first
+        assert first.block_id == (1, "x")
+        assert first.vertices == frozenset({2, 3, 4})
+
+    @pytest.mark.parametrize(
+        "bad", [["x"], [0, "x"], ({}, "x"), (0, "x", 1), ("x",), (-1, "x")]
+    )
+    def test_malformed_or_unhashable_id_rejected(self, bad):
+        union = UnionBlocking([copy_a(), copy_b()])
+        union.block((0, "x"))  # the memo holds a block
+        with pytest.raises(BlockingError):
+            union.block(bad)
+
     def test_interior_distance_requires_support(self):
         union = UnionBlocking([copy_a()])
         with pytest.raises(BlockingError):
