@@ -23,6 +23,8 @@ so they block *infinite* grids at zero storage cost:
 
 from __future__ import annotations
 
+from operator import add
+
 from repro.analysis.tessellation import (
     ShearedTessellation,
     Tessellation,
@@ -215,15 +217,11 @@ class GridNeighborhoodBlocking(ImplicitBlocking):
         return offsets
 
     def blocks_for(self, vertex: Vertex) -> tuple[BlockId, ...]:
-        return tuple(
-            tuple(v + o for v, o in zip(vertex, offset))
-            for offset in self._offsets
-        )
+        return tuple([tuple(map(add, vertex, offset)) for offset in self._offsets])
 
     def _materialize(self, block_id: BlockId) -> frozenset[Coord]:
         return frozenset(
-            tuple(c + o for c, o in zip(block_id, offset))
-            for offset in self._offsets
+            [tuple(map(add, block_id, offset)) for offset in self._offsets]
         )
 
     def interior_distance(self, block_id: BlockId, vertex: Vertex) -> float:
@@ -270,15 +268,11 @@ class DiagonalNeighborhoodBlocking(ImplicitBlocking):
         return self._radius
 
     def blocks_for(self, vertex: Vertex) -> tuple[BlockId, ...]:
-        return tuple(
-            tuple(v + o for v, o in zip(vertex, offset))
-            for offset in self._offsets
-        )
+        return tuple([tuple(map(add, vertex, offset)) for offset in self._offsets])
 
     def _materialize(self, block_id: BlockId) -> frozenset[Coord]:
         return frozenset(
-            tuple(c + o for c, o in zip(block_id, offset))
-            for offset in self._offsets
+            [tuple(map(add, block_id, offset)) for offset in self._offsets]
         )
 
     def interior_distance(self, block_id: BlockId, vertex: Vertex) -> float:

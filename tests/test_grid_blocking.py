@@ -184,6 +184,26 @@ class TestGridNeighborhood:
         assert len(b.block((0,))) == 9
 
 
+@pytest.mark.parametrize("dim, block_size", [(1, 9), (2, 64), (3, 216), (4, 100)])
+@pytest.mark.parametrize("kind", ["l1", "chebyshev"])
+def test_neighborhood_ids_and_cells_in_offset_order(kind, dim, block_size):
+    """A center's ids and a block's cells are the vertex plus each
+    offset, in the offsets' order; the frozenset is built in that order
+    too, so it iterates as a set built cell by cell does."""
+    from repro.blockings import DiagonalNeighborhoodBlocking
+
+    cls = GridNeighborhoodBlocking if kind == "l1" else DiagonalNeighborhoodBlocking
+    blocking = cls(dim, block_size)
+    for vertex in [(0,) * dim, tuple(range(-2, dim - 2)), (7,) * dim]:
+        shifted = [
+            tuple(v + o for v, o in zip(vertex, offset))
+            for offset in blocking._offsets
+        ]
+        assert blocking.blocks_for(vertex) == tuple(shifted)
+        cells = blocking.block(vertex).vertices
+        assert list(cells) == list(frozenset(shifted))
+
+
 class TestDiagonalNeighborhood:
     def test_radius_maximal_for_b(self):
         from repro.blockings import DiagonalNeighborhoodBlocking
