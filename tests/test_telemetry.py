@@ -793,6 +793,11 @@ class TestOpsReport:
                 id="string-histogram-mean",
             ),
             pytest.param(
+                {"fault_gap": {"count": 3, "mean": 2.0, "values": {"abc": 3}}},
+                "histogram 'fault_gap': value \"abc\" is not a number",
+                id="string-histogram-value",
+            ),
+            pytest.param(
                 {"service_completed": "many"},
                 "metric 'service_completed' is not a number",
                 id="string-service-counter",
