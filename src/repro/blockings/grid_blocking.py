@@ -38,6 +38,19 @@ from repro.errors import BlockingError
 from repro.typing import BlockId, Coord, Vertex
 
 
+def _require_coord(block_id: BlockId, dim: int) -> None:
+    """Refuse an id that is not a lattice point of ``Z^dim``: a tuple of
+    ``dim`` ints (a bool is no int), as ``blocks_for`` lists them."""
+    if (
+        type(block_id) is not tuple
+        or len(block_id) != dim
+        or not all(type(x) is int for x in block_id)
+    ):
+        raise BlockingError(
+            f"malformed block id {block_id!r}: not a tuple of {dim} ints"
+        )
+
+
 class TessellationBlocking(ImplicitBlocking):
     """One tessellation of ``Z^d`` as a blocking: block = tile.
 
@@ -62,12 +75,16 @@ class TessellationBlocking(ImplicitBlocking):
         return (self._tess.tile_of(vertex),)
 
     def _materialize(self, block_id: BlockId) -> frozenset[Coord]:
+        _require_coord(block_id, self._tess.dim)
         return frozenset(self._tess.cells(block_id))
 
     def members(self, block_id: BlockId) -> Members:
         """The built tile's frozenset, or, for a tile not built yet,
         a :class:`_TileMembers` that answers without building it."""
-        built = self._cache.get(block_id)
+        try:
+            built = self._cache.get(block_id)
+        except TypeError:
+            raise BlockingError(f"unhashable block id {block_id!r}") from None
         if built is not None:
             return built.vertices
         return _TileMembers(self._tess, block_id)
@@ -220,6 +237,7 @@ class GridNeighborhoodBlocking(ImplicitBlocking):
         return tuple([tuple(map(add, vertex, offset)) for offset in self._offsets])
 
     def _materialize(self, block_id: BlockId) -> frozenset[Coord]:
+        _require_coord(block_id, self._dim)
         return frozenset(
             [tuple(map(add, block_id, offset)) for offset in self._offsets]
         )
@@ -271,6 +289,7 @@ class DiagonalNeighborhoodBlocking(ImplicitBlocking):
         return tuple([tuple(map(add, vertex, offset)) for offset in self._offsets])
 
     def _materialize(self, block_id: BlockId) -> frozenset[Coord]:
+        _require_coord(block_id, self._dim)
         return frozenset(
             [tuple(map(add, block_id, offset)) for offset in self._offsets]
         )

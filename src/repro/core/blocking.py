@@ -139,6 +139,8 @@ class ExplicitBlocking(Blocking):
             return self._blocks[block_id]
         except KeyError:
             raise BlockingError(f"unknown block id {block_id!r}") from None
+        except TypeError:
+            raise BlockingError(f"unhashable block id {block_id!r}") from None
 
     def block_ids(self) -> Iterator[BlockId]:
         return iter(self._blocks)
@@ -198,10 +200,17 @@ class ImplicitBlocking(Blocking):
 
     @abc.abstractmethod
     def _materialize(self, block_id: BlockId) -> frozenset[Vertex]:
-        """Compute the vertex set of the block with the given id."""
+        """Compute the vertex set of the block with the given id.
+
+        Runs on a memo miss only, so it is where a subclass refuses an
+        id it could not have listed (with :class:`BlockingError`),
+        before anything is built or kept."""
 
     def block(self, block_id: BlockId) -> Block:
-        cached = self._cache.get(block_id)
+        try:
+            cached = self._cache.get(block_id)
+        except TypeError:
+            raise BlockingError(f"unhashable block id {block_id!r}") from None
         if cached is None:
             vertices = self._materialize(block_id)
             cached = make_block(block_id, vertices, self._block_size)

@@ -205,7 +205,8 @@ class TestAtomicWrites:
                 pool.map(_race_spill, [(disk_dir, "a"), (disk_dir, "b")])
             probe = ConstructionCache(maxsize=4, disk_dir=disk_dir)
             spill = probe._disk_path(("k", ("shared",)))
-            value = pickle.loads(open(spill, "rb").read())
+            with open(spill, "rb") as fh:
+                value = pickle.loads(fh.read())
             assert value["writer"] in ("a", "b")
             assert value["data"] == [value["writer"]] * 500
             # And a fresh cache can read it back through the front door.

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import BlockingError
+from repro import BlockingError, ExplicitBlocking
 from repro.blockings import (
     GridNeighborhoodBlocking,
+    UnionBlocking,
     contiguous_1d_blocking,
+    diagonal_lemma13_blocking,
     grid_block_side,
     grid_lemma13_blocking,
     offset_1d_blocking,
@@ -16,6 +18,7 @@ from repro.blockings import (
     uniform_grid_blocking,
 )
 from repro.analysis.theory import grid_ball_volume_exact
+from repro.core.blocking import ImplicitBlocking
 
 
 class TestGridBlockSide:
@@ -202,6 +205,43 @@ def test_neighborhood_ids_and_cells_in_offset_order(kind, dim, block_size):
         assert blocking.blocks_for(vertex) == tuple(shifted)
         cells = blocking.block(vertex).vertices
         assert list(cells) == list(frozenset(shifted))
+
+
+#: Malformed block ids, each with the blocking that is asked for it:
+#: unhashable ones fail at the memo lookup, hashable ones that are no
+#: lattice point of the grid fail before anything is built.
+MALFORMED_IDS = {
+    "explicit-unhashable": (
+        lambda: ExplicitBlocking(3, {"x": {1, 2, 3}}), "block", ["x"]
+    ),
+    "tile-unhashable": (lambda: contiguous_1d_blocking(4), "block", [0]),
+    "tile-members-unhashable": (lambda: contiguous_1d_blocking(4), "members", [0]),
+    "union-inner-unhashable": (lambda: offset_1d_blocking(4), "block", (0, ["x"])),
+    "tile-int": (lambda: contiguous_1d_blocking(4), "block", 0),
+    "ball-str": (lambda: grid_lemma13_blocking(2, 13), "block", "ab"),
+    "ball-short": (lambda: grid_lemma13_blocking(2, 13), "block", (0,)),
+    "chebyshev-short": (lambda: diagonal_lemma13_blocking(2, 9), "block", (0,)),
+    "sheared-short": (lambda: sheared_grid_blocking(2, 16), "block", (0,)),
+    "uniform-short": (lambda: uniform_grid_blocking(2, 16), "block", (0,)),
+    "uniform-long": (lambda: uniform_grid_blocking(2, 16), "block", (0, 0, 7)),
+    "uniform-float": (lambda: uniform_grid_blocking(2, 16), "block", (0.5, 0)),
+    "uniform-bool": (lambda: uniform_grid_blocking(2, 16), "block", (True, 0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_IDS))
+def test_malformed_block_id_is_a_blocking_error(case):
+    """A block id that no ``blocks_for`` could list raises
+    :class:`BlockingError`, and no block is built or kept for it."""
+    make, method, block_id = MALFORMED_IDS[case]
+    blocking = make()
+    with pytest.raises(BlockingError, match="block id"):
+        getattr(blocking, method)(block_id)
+    if isinstance(blocking, UnionBlocking):
+        assert blocking._blocks == {}
+        assert [copy._cache for copy in blocking.copies] == [{}, {}]
+    elif isinstance(blocking, ImplicitBlocking):
+        assert blocking._cache == {}
 
 
 class TestDiagonalNeighborhood:

@@ -1053,6 +1053,145 @@ class TestUndecodableTraces:
         assert not isinstance(excinfo.value, TornTailError)
 
 
+#: Identifiers a trace may repeat: equal in Python (``1 == 1.0 ==
+#: True``) but written as three different lines.
+_IDS = st.sampled_from([0, 1, 1.0, True, "a", (0, 1), (1, (2, "b"))])
+
+#: The lines a run repeats: a small pool, drawn from with replacement.
+_BODY_EVENT = st.one_of(
+    st.builds(
+        StepEvent,
+        run=st.just(0),
+        vertex=_IDS,
+        blocks=st.one_of(st.none(), st.lists(_IDS, max_size=2).map(tuple)),
+    ),
+    st.builds(
+        BlockReadEvent,
+        run=st.just(0),
+        block_id=_IDS,
+        vertex=_IDS,
+        size=st.integers(1, 3),
+        occupancy=st.integers(0, 3),
+        covered=st.integers(0, 3),
+    ),
+    st.builds(
+        EvictionEvent,
+        run=st.just(0),
+        block_ids=st.one_of(st.none(), st.lists(_IDS, max_size=2).map(tuple)),
+        copies=st.integers(0, 3),
+        occupancy=st.integers(0, 3),
+    ),
+    st.builds(FaultEvent, run=st.just(0), vertex=_IDS, gap=st.integers(0, 2), index=st.integers(1, 2)),
+)
+
+
+@st.composite
+def _multi_run_traces(draw):
+    """The lines of a trace of several runs, each run drawing its events
+    from a pool of a few, so lines repeat within a run; a run may copy
+    an earlier run's events under its own id, a ``shard_merged`` record
+    may frame the runs, and a footer closes the trace."""
+    framed = draw(st.booleans())
+    runs = draw(st.integers(1, 4))
+    events: list = []
+    if framed:
+        events.append(
+            ShardMergedEvent(
+                run=0, cell="c", attempt=1, span="s/0/1", run_base=0,
+                runs=runs, events=0, dropped=0,
+            )
+        )
+    bodies: list = []
+    for run in range(runs):
+        if bodies and draw(st.booleans()):
+            body = draw(st.sampled_from(bodies))  # an earlier run, re-run
+        else:
+            pool = draw(st.lists(_BODY_EVENT, min_size=1, max_size=4))
+            body = draw(st.lists(st.sampled_from(pool), max_size=12))
+        bodies.append(body)
+        events.append(RunStartEvent(run, "path", 2, 4, "weak"))
+        events += [dataclasses.replace(e, run=run) for e in body]
+        events.append(RunEndEvent(run=run, trace={"steps": len(body)}))
+    events.append(TraceFooterEvent(run=-1, events_emitted=len(events)))
+    return [event.to_json() for event in events]
+
+
+class TestMemoizedReader:
+    """``read_jsonl`` decodes each run's distinct lines once and yields
+    the same event for each repeat of a line; what it yields equals a
+    fresh decode of every line, and every reader rule still holds."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(lines=_multi_run_traces())
+    def test_equals_a_fresh_decode_of_every_line(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("memo") / "t.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        events = list(read_jsonl(path))
+        fresh = [event_from_dict(json.loads(line)) for line in lines]
+        assert [e.to_json() for e in events] == [e.to_json() for e in fresh]
+        assert [e.to_json() for e in events] == lines
+        # A run's repeated lines share one frozen event.
+        first: dict[str, object] = {}
+        for line, event in zip(lines, events):
+            if line.startswith('{"event":"run_start"'):
+                first.clear()
+            assert first.setdefault(line, event) is event
+
+    def repeated_trace(self, tmp_path):
+        """A run whose step and block_read lines repeat, and its lines."""
+        events = [RunStartEvent(0, "path", 2, 4, "weak")]
+        for _ in range(3):
+            events += [
+                StepEvent(run=0, vertex=(0, 1), blocks=((0, 0),)),
+                BlockReadEvent(run=0, block_id=(0, 0), vertex=(0, 1), size=2,
+                               occupancy=2, covered=2),
+            ]
+        lines = [event.to_json() for event in events]
+        return tmp_path / "t.jsonl", lines
+
+    def test_a_bad_line_after_repeats_names_its_own_line(self, tmp_path):
+        path, lines = self.repeated_trace(tmp_path)
+        lines.append(lines[-1].replace('"size":2', '"size":"big"'))
+        lines.append(lines[1])
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        with pytest.raises(ReproError, match=rf"t\.jsonl:{len(lines) - 1}: "):
+            list(read_jsonl(path))
+
+    def test_a_final_line_without_newline_is_decoded_anew(self, tmp_path):
+        """Stored lines end in their newline, so a final line without one
+        never matches them: it goes through the torn-tail rule as before,
+        yielded when it decodes and ``TornTailError`` when it does not."""
+        from repro.obs.sinks import TornTailError
+
+        path, lines = self.repeated_trace(tmp_path)
+        path.write_text("\n".join(lines + [lines[1]]), encoding="utf-8")
+        events = list(read_jsonl(path))
+        assert [e.to_json() for e in events] == lines + [lines[1]]
+        assert events[-1] == events[1] and events[-1] is not events[1]
+        path.write_text("\n".join(lines + [lines[1][:-1]]), encoding="utf-8")
+        seen = []
+        with pytest.raises(TornTailError, match=rf"t\.jsonl:{len(lines) + 1}: "):
+            for event in read_jsonl(path):
+                seen.append(event)
+        assert [e.to_json() for e in seen] == lines
+
+    def test_a_journal_checks_every_repeat(self, tmp_path):
+        """A manifest decoder keeps state (a cell record's index is
+        checked against the header read before it), so a journal takes
+        no memo: a cell record read before the header passes, and the
+        same line after the header must still fail."""
+        from repro.obs.sinks import manifest_decoder, read_journal
+
+        cell = '{"record":"cell","index":5,"status":"done"}'
+        header = '{"record":"campaign","cells":[{"name":"a"}]}'
+        path = tmp_path / "m.jsonl"
+        path.write_text(f"{cell}\n{header}\n{cell}\n", encoding="utf-8")
+        with pytest.raises(
+            ReproError, match=r"m\.jsonl:3: cell record index 5 names no cell"
+        ):
+            read_journal(path, manifest_decoder("name"), ReproError)
+
+
 class TestOrphanEvents:
     """The one fold's orphan rule: an engine event before its run's
     ``run_start``, or a second ``run_start`` for one run, makes every
