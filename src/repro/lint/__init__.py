@@ -21,8 +21,7 @@ Architecture (one file each, ~flake8-plugin shaped but self-contained):
   invariants.
 * :mod:`repro.lint.concurrency` — RL008..RL011, the lock-discipline
   rules (guard-map inference, lock-order cycles, unguarded thread
-  captures, blocking calls under a lock); the static half of the
-  concurrency gate whose dynamic half is :mod:`repro.obs.locksan`.
+  captures, blocking calls under a lock): the concurrency gate.
 * :mod:`repro.lint.config`   — ``[tool.repro-lint]`` in pyproject.toml.
 * :mod:`repro.lint.cli`      — ``python -m repro.lint``.
 

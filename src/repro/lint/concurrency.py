@@ -1,12 +1,11 @@
-"""RL008..RL011 — lock-discipline rules (the static concurrency gate).
+"""RL008..RL011 — lock-discipline rules (the concurrency gate).
 
-PRs 6-9 made the reproduction genuinely concurrent (the service thread
-pool, the shared block cache, per-instrument metrics locks), and the
-only defense against data races used to be whichever test happened to
+The service thread pool, the shared block cache and the per-instrument
+metrics locks make parts of the reproduction concurrent, and a data
+race there used to be caught only by whichever test happened to
 interleave badly. These rules make lock discipline a *linted
-invariant*, sharing one violation vocabulary with the dynamic
-sanitizer (:mod:`repro.obs.locksan`) so CI can assert "static findings
-are empty, dynamic findings are empty".
+invariant*; each message names its violation kind (the ``VIOLATION_*``
+constants below).
 
 The shared machinery is a per-class **concurrency summary** built once
 per ``ClassDef`` and cached in ``ctx.scratch``:
@@ -23,10 +22,10 @@ per ``ClassDef`` and cached in ``ctx.scratch``:
   feeding the cross-module lock-order graph (RL009) and the
   blocking-under-lock rule (RL011).
 
-Known static limits (the dynamic sanitizer covers the rest): closures
-and lambdas are not analysed for RL008 (only RL010 looks at thread
-targets), module-level locks are invisible, and attribute types are
-resolved from ``__init__`` assignments and parameter annotations only.
+Known limits (DESIGN.md §14): closures and lambdas are not analysed
+for RL008 (only RL010 looks at thread targets), module-level locks are
+invisible, and attribute types are resolved from ``__init__``
+assignments and parameter annotations only.
 """
 
 from __future__ import annotations
@@ -38,12 +37,15 @@ from typing import Iterator, Mapping, Sequence
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding, Severity
 from repro.lint.rules import FileContext, ProjectContext, Rule, register
-from repro.obs.locksan import (
-    VIOLATION_BLOCKING_CALL,
-    VIOLATION_LOCK_ORDER,
-    VIOLATION_UNGUARDED,
-    VIOLATION_UNGUARDED_CAPTURE,
-)
+
+#: RL008: state touched without the lock that guards it.
+VIOLATION_UNGUARDED = "unguarded-access"
+#: RL009: two locks acquired in both orders.
+VIOLATION_LOCK_ORDER = "lock-order-cycle"
+#: RL010: a thread target mutates shared state with no guard at all.
+VIOLATION_UNGUARDED_CAPTURE = "unguarded-capture"
+#: RL011: a blocking operation runs while a lock is held.
+VIOLATION_BLOCKING_CALL = "blocking-while-locked"
 
 _SCRATCH_KEY = "concurrency-summaries"
 _PROJECT_KEY = "RL009"
@@ -138,6 +140,8 @@ class _ClassSummary:
     relpath: str
     lock_attrs: frozenset[str] = frozenset()
     method_names: frozenset[str] = frozenset()
+    # ``self.X`` the class assigns: a call ``self.X()`` runs a stored value.
+    stored_attrs: frozenset[str] = frozenset()
     attr_types: dict[str, str] = field(default_factory=dict)
     accesses: list[_Access] = field(default_factory=list)
     acquires: list[_Acquire] = field(default_factory=list)
@@ -383,10 +387,10 @@ def _blocking_label(
         ):
             return f"Queue.{func.attr}()"
         return None
-    if attr_of_self is not None and func.attr == "__call__":
-        return None
-    if isinstance(func.value, ast.Name) and func.value.id == "self":
-        return None
+    if summary is not None and _self_attr(func) in summary.stored_attrs:
+        # ``self.on_hit()`` — a callable stored on the instance runs
+        # whatever its setter handed in, so it blocks like a ``loader``.
+        return f"self.{func.attr}()"
     return None
 
 
@@ -419,6 +423,7 @@ def _summarize(node: ast.ClassDef, ctx: FileContext) -> _ClassSummary:
                 attr = _self_attr(target)
                 if attr is None:
                     continue
+                summary.stored_attrs |= {attr}
                 inferred = _infer_type(value, ctx)
                 if inferred is None and isinstance(sub, ast.AnnAssign):
                     inferred = _annotation_type(sub.annotation)
@@ -1045,13 +1050,15 @@ class BlockingUnderLockRule(Rule):
     """RL011: no blocking operation runs while holding a lock.
 
     A lock held across ``Event.wait``, ``Queue.get/put``, thread
-    joins, file I/O, or a caller-supplied ``loader``/``load_fn``
-    convoys every other thread behind a slow (or never-returning)
-    operation — the single worst-case the service's tail latency can
-    hit. The sanctioned idiom is *release-then-wait*: install a
-    marker under the lock, release, block on the marker, re-check —
-    exactly what ``SharedBlockCache.fetch`` does (and why it is not
-    flagged: its ``marker.wait()`` sits outside the ``with`` block).
+    joins, file I/O, a caller-supplied ``loader``/``load_fn``, or a
+    callable the class stores on itself (``self.on_hit()`` where the
+    class assigns ``self.on_hit``) convoys every other thread behind a
+    slow (or never-returning) operation — the single worst-case the
+    service's tail latency can hit. The sanctioned idiom is
+    *release-then-wait*: install a marker under the lock, release,
+    block on the marker, re-check — exactly what
+    ``SharedBlockCache.fetch`` does (and why it is not flagged: its
+    ``marker.wait()`` sits outside the ``with`` block).
     ``Condition.wait`` on the *held* condition is exempt (it releases
     the lock by contract). Self-method calls are followed
     transitively within the class.

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.errors import ReproError
-from repro.lint.config import LintConfig
+from repro.lint.config import LintConfig, LintConfigError
 from repro.lint.findings import Finding
 from repro.lint.rules import (
     FileContext,
@@ -101,7 +101,9 @@ class LintEngine:
         self, paths: Sequence[str | Path] | None = None
     ) -> list[Path]:
         """Every ``.py`` file under the configured (or given) paths, in
-        sorted order so reports are deterministic."""
+        sorted order so reports are deterministic. A path that is
+        neither a directory nor a ``.py`` file raises
+        :class:`LintConfigError`: linting nothing must not pass."""
         roots = [
             Path(self.config.root) / p for p in (paths or self.config.paths)
         ]
@@ -111,6 +113,10 @@ class LintEngine:
                 files.add(root)
             elif root.is_dir():
                 files.update(root.rglob("*.py"))
+            else:
+                raise LintConfigError(
+                    f"{root} is neither a directory nor a .py file"
+                )
         return sorted(files)
 
     def _relpath(self, path: Path) -> str:

@@ -21,10 +21,11 @@ turns those one-shot artifacts into a *trajectory* and watches it:
 
 The CLI gates: ``python -m repro.obs.benchwatch BENCH_*.json`` checks
 each rollup against the history, appends the new observations, and
-exits nonzero if anything regressed. Deliberately clock-free — run
-identity comes from ``--label`` (CI passes the commit SHA), and
-ordering is the journal's append order — so the sentinel itself stays
-inside the repository's no-wall-clock lint rule.
+exits 1 if anything regressed (2 on a rollup or history it cannot
+read or judge). Deliberately clock-free — run identity comes from
+``--label`` (CI passes the commit SHA), and ordering is the journal's
+append order — so the sentinel itself stays inside the repository's
+no-wall-clock lint rule.
 """
 
 from __future__ import annotations
@@ -103,6 +104,10 @@ def load_rollup(path: str | Path) -> dict[str, Any]:
         isinstance(payload.get("timings"), list),
         f"{path}: rollup has no 'timings' list",
     )
+    _require(
+        bool(_observations(payload)),
+        f"{path}: no timing has a 'test' and a numeric 'mean_s'",
+    )
     return payload
 
 
@@ -110,6 +115,8 @@ def _observations(payload: Mapping[str, Any]) -> dict[str, float]:
     """``{test: mean_s}`` for every timed test in a rollup."""
     means: dict[str, float] = {}
     for entry in payload["timings"]:
+        if not isinstance(entry, dict):
+            continue
         mean = entry.get("mean_s")
         test = entry.get("test")
         if isinstance(test, str) and isinstance(mean, (int, float)):
@@ -442,8 +449,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"slowdown always trips the gate; got {args.tolerance}"
         )
 
-    history = load_history(args.history)
-    payloads = [load_rollup(path) for path in args.rollups]
+    # An unreadable input exits 2, never 1: 1 means "regressed".
+    try:
+        history = load_history(args.history)
+        payloads = [load_rollup(path) for path in args.rollups]
+    except BenchWatchError as exc:
+        parser.error(str(exc))
     if not args.no_append:
         # Refuse before judging or writing anything, so a bad label
         # never leaves a partly appended journal behind.

@@ -16,9 +16,10 @@ Command line::
     python -m repro.obs.replay trace.jsonl --timeline # ASCII fault timelines
     python -m repro.obs.replay a.jsonl --diff b.jsonl # compare two traces
 
-Exit status: 1 when ``--check`` finds a reconstruction mismatch or
-``--diff`` finds differing runs; 2 when a trace cannot be read (the
-one-line error names the file and line) or ``--run`` names no run.
+Exit status: 1 when ``--check`` finds a reconstruction mismatch or no
+run to check, or ``--diff`` finds differing runs; 2 when a trace cannot
+be read (the one-line error names the file, and the line at fault) or
+``--run`` names no run.
 """
 
 from __future__ import annotations
@@ -332,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
         "--check",
         action="store_true",
         help="verify each run's reconstruction against its run_end "
-        "snapshot; exit 1 on any mismatch",
+        "snapshot; exit 1 on any mismatch, or if the trace holds no run",
     )
     parser.add_argument(
         "--timeline",
@@ -375,7 +376,10 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.check:
         mismatches = [line for run in runs for line in verify_run(run)]
-        if mismatches:
+        if not runs:
+            print(f"\nnothing to check: {args.trace} holds no run")
+            exit_code = 1
+        elif mismatches:
             print(f"\n{len(mismatches)} reconstruction mismatch(es):")
             for line in mismatches:
                 print(f"  - {line}")

@@ -180,8 +180,14 @@ def read_records(
     rule above holds for it wherever it repeats. Only a caller whose
     ``decode`` keeps no state and whose records are not mutated may pass
     one; the caller owns it and may clear it between reads.
+
+    A file that cannot be opened raises ``error`` naming it.
     """
-    with Path(path).open("rb") as stream:
+    try:
+        opened = Path(path).open("rb")
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+    with opened as stream:
         for number, line in enumerate(stream, 1):
             if memo is not None and line in memo:
                 yield memo[line]
@@ -278,8 +284,6 @@ def read_journal(
             records.append(record)
     except TornTailError:
         pass
-    except OSError as exc:
-        raise error(f"cannot read {path}: {exc}") from exc
     return records
 
 

@@ -1,9 +1,6 @@
-"""Shared fixtures: small graphs, model parameters, and the lock
-sanitizer gate for the threaded test modules."""
+"""Shared fixtures: small graphs and model parameters."""
 
 from __future__ import annotations
-
-from pathlib import Path
 
 import pytest
 
@@ -19,28 +16,6 @@ from repro.graphs import (
     star_graph,
     torus_graph,
 )
-
-
-# The dynamic half of the concurrency gate: every test in the modules
-# that exercise threads runs with repro's locks instrumented, and any
-# lock-order inversion or blocking-while-locked event fails the test.
-# Everything else sees `yield None` — zero overhead, no patching.
-_LOCKSAN_MODULES = {"test_service.py", "test_cache.py", "test_obs.py"}
-
-
-@pytest.fixture(autouse=True)
-def locksan_gate(request):
-    if Path(str(request.fspath)).name not in _LOCKSAN_MODULES:
-        yield None
-        return
-    from repro.obs import locksan
-
-    sanitizer = locksan.install()
-    try:
-        yield sanitizer
-    finally:
-        locksan.uninstall()
-    locksan.assert_clean(sanitizer)
 
 
 @pytest.fixture

@@ -37,6 +37,100 @@ RULE_CASES = {
 }
 
 
+# The concurrency gate's mutant audit (EXPERIMENTS.md "One concurrency
+# gate"): a real module with one lock-discipline bug put back, the rule
+# that must refuse it, and the (old, new) source edits that make it.
+_HIT_PATH = (
+    "                    self._hits += 1\n"
+    "                    return block, HIT\n"
+)
+MUTANTS = {
+    "M1": ("src/repro/obs/metrics.py", "RL008", (  # torn counter snapshot
+        (
+            "    def snapshot(self) -> int:\n"
+            "        with self._lock:\n"
+            "            return self.value\n",
+            "    def snapshot(self) -> int:\n"
+            "        return self.value\n",
+        ),
+    )),
+    "M2": ("src/repro/cache.py", "RL008", (  # unguarded cache length
+        (
+            "    def __len__(self) -> int:\n"
+            "        with self._lock:\n"
+            "            return len(self._entries)\n",
+            "    def __len__(self) -> int:\n"
+            "        return len(self._entries)\n",
+        ),
+    )),
+    "M5": ("src/repro/service/cache.py", "RL011", (  # wait under the lock
+        (
+            "                    loading = False\n"
+            "            if not loading:\n"
+            "                marker.wait()\n",
+            "                    loading = False\n"
+            "                    marker.wait()\n"
+            "            if not loading:\n",
+        ),
+    )),
+    "M6": ("src/repro/service/cache.py", "RL009", (  # two locks, both orders
+        (
+            "        self._lock = threading.Lock()\n",
+            "        self._lock = threading.Lock()\n"
+            "        self._stats_lock = threading.Lock()\n",
+        ),
+        (
+            _HIT_PATH,
+            "                    with self._stats_lock:\n"
+            "                        self._hits += 1\n"
+            "                    return block, HIT\n",
+        ),
+        (
+            "    def stats(self) -> CacheStats:\n"
+            "        with self._lock:\n",
+            "    def stats(self) -> CacheStats:\n"
+            "        with self._stats_lock, self._lock:\n",
+        ),
+    )),
+    "M7": ("src/repro/cache.py", "RL011", (  # builder under the lock
+        (
+            "            value = builder()\n",
+            "            with self._lock:\n"
+            "                value = builder()\n",
+        ),
+    )),
+    "M8": ("src/repro/obs/metrics.py", "RL008", (  # torn histogram snapshot
+        (
+            "        with self._lock:\n"
+            "            count = self.count\n"
+            "            total = self.total\n"
+            "            minimum = self.minimum\n"
+            "            maximum = self.maximum\n"
+            "            values = sorted(self.counts.items())\n",
+            "        count = self.count\n"
+            "        total = self.total\n"
+            "        minimum = self.minimum\n"
+            "        maximum = self.maximum\n"
+            "        values = sorted(self.counts.items())\n",
+        ),
+    )),
+    "M10": ("src/repro/service/cache.py", "RL011", (  # stored callback
+        (
+            "        self._lock = threading.Lock()\n",
+            "        self._lock = threading.Lock()\n"
+            "        self.on_hit = None\n",
+        ),
+        (
+            _HIT_PATH,
+            "                    self._hits += 1\n"
+            "                    if self.on_hit is not None:\n"
+            "                        self.on_hit()\n"
+            "                    return block, HIT\n",
+        ),
+    )),
+}
+
+
 def _engine() -> LintEngine:
     return LintEngine(LintConfig(root=str(REPO)))
 
@@ -132,18 +226,29 @@ class TestConcurrencyRules:
         assert any("wait()" in m for m in labels)
 
     def test_shared_vocabulary_in_messages(self):
-        # Static findings carry the same violation kinds the dynamic
-        # sanitizer reports, so CI can diff the two halves.
-        from repro.obs import locksan
+        # Each finding names its violation kind.
+        from repro.lint.concurrency import VIOLATION_UNGUARDED
 
         source = (FIXTURES / "bad_rl008.py").read_text()
         findings = _engine().lint_source("src/repro/service/f.py", source)
         assert all(
-            locksan.VIOLATION_UNGUARDED in f.message
+            VIOLATION_UNGUARDED in f.message
             for f in findings
             if f.rule == "RL008"
         )
         assert findings
+
+    @pytest.mark.parametrize("mutant", sorted(MUTANTS))
+    def test_mutant_is_killed(self, mutant):
+        relpath, rule_id, edits = MUTANTS[mutant]
+        source = (REPO / relpath).read_text()
+        for old, new in edits:
+            assert source.count(old) == 1, f"{mutant}: {old!r} moved"
+            source = source.replace(old, new)
+        findings = _engine().lint_sources({relpath: source})[relpath]
+        assert rule_id in {f.rule for f in findings}, (
+            f"{mutant} survived: {[f.render() for f in findings]}"
+        )
 
 
 class TestSuppression:
@@ -225,9 +330,19 @@ class TestCli:
             ["--root", str(root), "--ignore", "RL003,RL006"], out=out
         ) == 0
 
-    def test_unknown_rule_id_is_usage_error(self, tmp_path):
+    def test_unknown_rule_id_is_usage_error(self, tmp_path, capsys):
         root = _make_tree(tmp_path, "good_rl001")
         assert main(["--root", str(root), "--select", "RL999"]) == 2
+        capsys.readouterr()
+        # A path that names no directory or .py file would lint nothing.
+        for argv, named in (
+            (["--root", str(root), "no/such/dir"], "no/such/dir"),
+            (["--root", str(tmp_path / "gone")], "gone/src/repro"),
+            (["--root", str(tmp_path)], "src/repro"),  # no pyproject.toml
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert named in err and err.count("\n") == 1
 
     def test_stats_output(self, tmp_path):
         root = _make_tree(tmp_path, "bad_rl001")

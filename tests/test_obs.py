@@ -909,6 +909,12 @@ class TestReplayTools:
         out = capsys.readouterr().out
         assert "reconstruct exactly" in out
 
+    def test_cli_check_fails_on_a_trace_with_no_run(self, tmp_path, capsys):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("")
+        assert replay_main([str(path), "--check"]) == 1
+        assert "nothing to check" in capsys.readouterr().out
+
     def test_cli_diff_flags_differences(self, tmp_path, capsys):
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         for p, n in ((p1, 200), (p2, 210)):
@@ -1001,6 +1007,16 @@ class TestUndecodableTraces:
             assert captured.err.count("\n") == 1
             assert f"{path}:{bad}: " in captured.err
             assert "Traceback" not in captured.err
+
+    def test_clis_exit_2_on_a_missing_trace(self, tmp_path, capsys):
+        missing = tmp_path / "missing.jsonl"
+        diff = (replay_main, lambda path: [str(traced_walk(tmp_path)),
+                                           "--diff", str(path)])
+        for main, argv in (*TRACE_CLIS, diff):
+            assert main(argv(missing)) == 2
+            captured = capsys.readouterr()
+            assert captured.err.count("\n") == 1
+            assert f"cannot read {missing}: " in captured.err
 
     #: What the reader says about each line that decodes to one JSON
     #: value too many, or to a value that is not an object, and about a

@@ -530,14 +530,28 @@ class TestBenchwatch:
         demo.write_text(json.dumps(_rollup(0.1)))
         other = tmp_path / "BENCH_other.json"
         other.write_text(json.dumps(_rollup(0.1, bench="other")))
+        # Exit 1 means "regressed", so an input that cannot be judged
+        # exits 2 too.
+        malformed = tmp_path / "BENCH_malformed.json"
+        malformed.write_text("{not json")
+        untimed = tmp_path / "BENCH_untimed.json"
+        untimed.write_text(json.dumps(
+            {"bench": "demo", "timings": [{"test": "test_x"}, 7]}
+        ))
+        garbage = tmp_path / "garbage.jsonl"
+        garbage.write_text("not json\n")
         refused = (
             [str(other), str(demo)],  # no label
             [str(other), str(demo), "--label", "seed-2"],  # demo holds seed-2
             [str(demo), str(demo), "--label", "fresh"],  # twice in one call
+            [str(tmp_path / "BENCH_gone.json"), "--label", "fresh"],
+            [str(malformed), "--label", "fresh"],
+            [str(untimed), "--label", "fresh"],  # judged on nothing
+            [str(demo), "--label", "fresh", "--history", str(garbage)],
         )
         for args in refused:
             with pytest.raises(SystemExit) as exc:
-                main([*args, "--history", str(history)])
+                main(["--history", str(history), *args])
             assert exc.value.code == 2
         # Refused before anything was written, not even the good rollup.
         assert history.read_bytes() == before
